@@ -72,8 +72,7 @@ func benchFaults(path string) error {
 		Note: "each pair is verified twice by a fresh pipeline: faults=false is the clean " +
 			"baseline, faults=true replays the canned schedule through a fresh injector. " +
 			"All scheduled faults are transient or degraded, so verdict_stable must be true " +
-			"on every row; wall_ms quantifies the retry/backoff overhead. SymexWorkers is " +
-			"pinned to 1 so the comparison is schedule-independent.",
+			"on every row; wall_ms quantifies the retry/backoff overhead.",
 		Schedule: faultBenchSchedule,
 	}
 	specs := append(corpus.All(), corpus.StaticSet()...)
@@ -84,7 +83,7 @@ func benchFaults(path string) error {
 			// Retry.Max covers the schedule's worst case (4 sat faults + 1
 			// worker panic could all land in one phase), so recovery is
 			// guaranteed rather than probabilistic.
-			cfg := core.Config{SymexWorkers: 1, Retry: core.RetryPolicy{Max: 6, BaseDelay: time.Millisecond}}
+			cfg := core.Config{Retry: core.RetryPolicy{Max: 6, BaseDelay: time.Millisecond}}
 			var in *faultinject.Injector
 			if withFaults {
 				sch, err := faultinject.ParseSchedule(faultBenchSchedule)

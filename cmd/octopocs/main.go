@@ -66,7 +66,7 @@ func run(args []string) error {
 		hybridOn    = fs.Bool("hybrid", false, "enable the directed-fuzzing fallback: rescue theta- and budget-exhausted symex outcomes with a replay-confirmed campaign crash (verdict triggered-by-fuzzing)")
 		verbose     = fs.Bool("v", false, "print crash primitives and crash details")
 		workers     = fs.Int("workers", 0, "with -all: verify pairs concurrently with this many service workers (0 = sequential)")
-		symexWork   = fs.Int("symex-workers", 0, "frontier explorer goroutines per symbolic execution (0 = GOMAXPROCS, negative = legacy sequential engine)")
+		symexWork   = fs.Int("symex-workers", 0, "frontier explorer goroutines per symbolic execution (0 = GOMAXPROCS, negative = one)")
 		prioritize  = fs.Bool("prioritize", false, "verify all pairs and print a patch-priority list (§ VII practical usage)")
 		explain     = fs.Bool("explain", false, "with -pair: show the S-on-poc and T-on-poc' traces and the preserved ℓ path")
 		withTrace   = fs.Bool("trace", false, "dump each job's phase/sub-step span tree as JSON after its report")
@@ -189,9 +189,6 @@ func writeJournals(path string, journals [][]journal.Event) error {
 	return nil
 }
 
-// symexBudget maps the -symex-workers flag onto core.Config.SymexWorkers for
-// a direct in-process pipeline: positive values pass through, 0 auto-sizes to
-// GOMAXPROCS, and negative values select the legacy sequential engine.
 // parseFaults builds the fault injector from the -fault-schedule flag; an
 // empty schedule (the default) disables injection entirely.
 func parseFaults(schedule string) (*faultinject.Injector, error) {
@@ -202,15 +199,14 @@ func parseFaults(schedule string) (*faultinject.Injector, error) {
 	return faultinject.New(sch), nil
 }
 
+// symexBudget maps the -symex-workers flag onto core.Config.SymexWorkers for
+// a direct in-process pipeline: positive values pass through, 0 auto-sizes to
+// GOMAXPROCS, and negative values select one explorer.
 func symexBudget(flagVal int) int {
-	switch {
-	case flagVal > 0:
-		return flagVal
-	case flagVal < 0:
-		return 0
-	default:
+	if flagVal == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
+	return max(1, flagVal)
 }
 
 // verifyAll collects one report per spec, in spec order, plus the span

@@ -62,7 +62,7 @@ func run(args []string, logOut *os.File) error {
 	fs := flag.NewFlagSet("octoserved", flag.ContinueOnError)
 	addr := fs.String("addr", ":8344", "listen address")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	symexWorkers := fs.Int("symex-workers", 0, "frontier explorer goroutines per job (0 = auto GOMAXPROCS/workers, negative = sequential engine)")
+	symexWorkers := fs.Int("symex-workers", 0, "frontier explorer goroutines per job (0 = auto GOMAXPROCS/workers, negative = one)")
 	queue := fs.Int("queue", service.DefaultQueueDepth, "job queue depth")
 	cache := fs.Int("cache", service.DefaultCacheEntries, "artifact cache entries per class (negative disables)")
 	timeout := fs.Duration("timeout", 0, "per-job deadline (0 = none)")

@@ -74,13 +74,10 @@ type Config struct {
 	// HybridWorkers bounds the goroutines running campaign shards; purely
 	// a throughput knob (results are identical for any value).
 	HybridWorkers int
-	// SymexWorkers selects the P2/P3 exploration engine: 0 (default) keeps
-	// the sequential backtracking loop; >= 1 runs the parallel frontier
-	// engine with that many explorer goroutines. Any N >= 1 produces the
-	// same verdict and poc' bytes as N = 1 (the frontier commit protocol is
-	// deterministic); 0 and 1 may legitimately differ on pairs that
-	// backtrack, because the sequential engine commits its first success
-	// while the frontier commits the minimal-path one.
+	// SymexWorkers is the number of explorer goroutines of the P2/P3
+	// directed frontier engine; 0 (default) and 1 both mean one explorer.
+	// Every value produces the same verdict and poc' bytes (the frontier
+	// commit protocol is deterministic); only wall time and Stats differ.
 	SymexWorkers int
 	// SatCacheEntries sizes the shared satisfiability-verdict cache used by
 	// every feasibility check of this pipeline (directed execution, bunch
@@ -647,12 +644,9 @@ func journalSymexDone(rec *journal.Recorder, res *symex.Result) {
 	if rec == nil {
 		return
 	}
-	attrs := journal.Attrs{"kind": res.Kind.String(), "entries": len(res.Entries)}
+	attrs := journal.Attrs{"kind": res.Kind.String(), "entries": len(res.Entries), "path": symex.PathString(res.Path)}
 	if res.Why != "" {
 		attrs["why"] = res.Why
-	}
-	if ps := symex.PathString(res.Path); ps != "" {
-		attrs["path"] = ps
 	}
 	rec.Emit(journal.EvSymexDone, attrs)
 	rec.Emit(journal.EvSymexStats, journal.Attrs{

@@ -34,20 +34,20 @@ func TestVerdictStableUnderFaults(t *testing.T) {
 		{
 			name:     "transient",
 			schedule: "seed=1;solver.sat:nth=3;solver.timeout:nth=1",
-			cfg:      core.Config{SymexWorkers: 1},
+			cfg:      core.Config{},
 		},
 		// Mixed panic + degradation: worker panic retried, static analysis
 		// and caches degraded.
 		{
 			name:     "degraded",
 			schedule: "seed=2;symex.worker_panic:nth=1;core.static:nth=1;solver.cache:rate=0.3;core.cache_put:rate=1",
-			cfg:      core.Config{SymexWorkers: 1, StaticPrune: true},
+			cfg:      core.Config{StaticPrune: true},
 		},
 		// Fatal: forced cancellation mid-exploration.
 		{
 			name:     "fatal-cancel",
 			schedule: "seed=3;symex.cancel:nth=1",
-			cfg:      core.Config{SymexWorkers: 1},
+			cfg:      core.Config{},
 			fatal:    true,
 		},
 	}

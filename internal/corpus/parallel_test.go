@@ -10,11 +10,9 @@ import (
 )
 
 // TestParallelDeterminism is the acceptance gate of the parallel frontier
-// engine: over the full corpus, a 1-worker pipeline and an N-worker pipeline
-// must produce identical verdicts, types, reasons, and identical poc' bytes.
-// (1 worker is the deterministic reference of the frontier engine; the
-// sequential engine, SymexWorkers = 0, keeps its own behavior and is covered
-// by TestTableIIVerdicts.)
+// engine: over all 21 corpus rows, the library default pipeline (one
+// explorer) and an N-worker pipeline must produce identical verdicts,
+// types, reasons, and identical poc' bytes.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus-wide determinism sweep is not short")
@@ -23,25 +21,25 @@ func TestParallelDeterminism(t *testing.T) {
 	if workers < 2 {
 		workers = 4
 	}
-	ref := core.New(core.Config{SymexWorkers: 1})
+	ref := core.New(core.Config{})
 	par := core.New(core.Config{SymexWorkers: workers})
-	for _, s := range corpus.All() {
+	for _, s := range allRows() {
 		s := s
 		t.Run(s.Label(), func(t *testing.T) {
 			a, err := ref.Verify(s.Pair)
 			if err != nil {
-				t.Fatalf("Verify(workers=1): %v", err)
+				t.Fatalf("Verify(default): %v", err)
 			}
 			b, err := par.Verify(s.Pair)
 			if err != nil {
 				t.Fatalf("Verify(workers=%d): %v", workers, err)
 			}
 			if a.Verdict != b.Verdict || a.Type != b.Type || a.Reason != b.Reason {
-				t.Errorf("verdict mismatch: workers=1 %v/%v/%q vs workers=%d %v/%v/%q",
+				t.Errorf("verdict mismatch: default %v/%v/%q vs workers=%d %v/%v/%q",
 					a.Verdict, a.Type, a.Reason, workers, b.Verdict, b.Type, b.Reason)
 			}
 			if !bytes.Equal(a.PoCPrime, b.PoCPrime) {
-				t.Errorf("poc' mismatch: workers=1 %d bytes vs workers=%d %d bytes",
+				t.Errorf("poc' mismatch: default %d bytes vs workers=%d %d bytes",
 					len(a.PoCPrime), workers, len(b.PoCPrime))
 			}
 		})

@@ -22,13 +22,11 @@ func chaosCorpus() []*corpus.PairSpec {
 }
 
 // baselineReports verifies every pair fault-free with the exact pipeline
-// configuration the chaos sweeps use (SymexWorkers pinned to 1 so the
-// frontier result identity is schedule-independent) and returns the reports
-// keyed by corpus index, Timings zeroed.
+// configuration the chaos sweeps use and returns the reports keyed by
+// corpus index, Timings zeroed.
 func baselineReports(t *testing.T, base core.Config) map[int]*core.Report {
 	t.Helper()
 	base.Faults = nil
-	base.SymexWorkers = 1
 	p := core.New(base)
 	out := make(map[int]*core.Report)
 	for _, spec := range chaosCorpus() {
@@ -79,6 +77,8 @@ func TestChaosSweepDeterministicOutcomes(t *testing.T) {
 			base := baselineReports(t, plCfg)
 
 			plCfg.Faults = in
+			// One explorer per job, as in the baseline, so the schedule-
+			// dependent Stats compare equal on any core count.
 			svc := service.New(service.Config{
 				Workers:      2,
 				SymexWorkers: 1,
@@ -156,7 +156,7 @@ func TestChaosFatalFaultsAreExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.New(core.Config{SymexWorkers: 1, Faults: faultinject.New(sch)})
+	p := core.New(core.Config{Faults: faultinject.New(sch)})
 	spec := corpus.ByIdx(1)
 	rep, err := p.Verify(spec.Pair)
 	if err == nil {
@@ -176,7 +176,7 @@ func TestChaosSeedReproducibility(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := faultinject.New(sch)
-		p := core.New(core.Config{SymexWorkers: 1, Faults: in})
+		p := core.New(core.Config{Faults: in})
 		for _, spec := range corpus.All()[:5] {
 			if _, err := p.Verify(spec.Pair); err != nil && !faultinject.IsTransient(err) {
 				t.Fatalf("idx %d: %v", spec.Idx, err)

@@ -63,8 +63,8 @@ type Config struct {
 	// frontier explorer goroutines each verification's P2/P3 phase may use.
 	// 0 (the default) auto-budgets to max(1, GOMAXPROCS / Workers) so a
 	// fully loaded pool does not oversubscribe the machine; negative forces
-	// the sequential engine. The value (after auto-budgeting) is forwarded
-	// to Pipeline.SymexWorkers, overriding whatever that field holds.
+	// one explorer. The value (after auto-budgeting) is forwarded to
+	// Pipeline.SymexWorkers, overriding whatever that field holds.
 	SymexWorkers int
 	// QueueDepth bounds queued jobs; DefaultQueueDepth when 0.
 	QueueDepth int
@@ -251,17 +251,10 @@ func New(cfg Config) *Service {
 	if pcfg.Metrics == nil {
 		pcfg.Metrics = s.met.engines
 	}
-	switch {
-	case cfg.SymexWorkers > 0:
-		pcfg.SymexWorkers = cfg.SymexWorkers
-	case cfg.SymexWorkers < 0:
-		pcfg.SymexWorkers = 0 // sequential engine
-	default:
-		budget := runtime.GOMAXPROCS(0) / cfg.Workers
-		if budget < 1 {
-			budget = 1
-		}
-		pcfg.SymexWorkers = budget
+	if cfg.SymexWorkers != 0 {
+		pcfg.SymexWorkers = max(1, cfg.SymexWorkers)
+	} else {
+		pcfg.SymexWorkers = max(1, runtime.GOMAXPROCS(0)/cfg.Workers)
 	}
 	s.pl = core.New(pcfg)
 	if s.p1c != nil || s.p2c != nil {

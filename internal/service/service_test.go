@@ -77,16 +77,16 @@ func waitRunning(t *testing.T, j *service.Job) {
 }
 
 func TestSubmitWaitMatchesDirectVerify(t *testing.T) {
-	// Pin the per-job frontier budget to 1 so the service report is
-	// field-for-field comparable with a direct pipeline: the frontier
-	// engine's Report is deterministic for any worker count, but its Stats
-	// (steps, steals) legitimately vary with scheduling.
+	// Pin the per-job frontier budget to the library default's one explorer
+	// so the service report is field-for-field comparable with a direct
+	// pipeline: the frontier engine's Report is deterministic for any worker
+	// count, but its Stats (steps, steals) legitimately vary with scheduling.
 	svc := service.New(service.Config{Workers: 2, SymexWorkers: 1, CacheEntries: -1})
 	defer svc.Shutdown(context.Background())
 
 	for _, idx := range []int{1, 7, 9} {
 		spec := corpus.ByIdx(idx)
-		want, err := core.New(core.Config{SymexWorkers: 1}).Verify(corpus.ByIdx(idx).Pair)
+		want, err := core.New(core.Config{}).Verify(corpus.ByIdx(idx).Pair)
 		if err != nil {
 			t.Fatalf("direct verify idx %d: %v", idx, err)
 		}
@@ -102,6 +102,24 @@ func TestSubmitWaitMatchesDirectVerify(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("idx %d: service report diverged from direct verify\n got %+v\nwant %+v", idx, got, want)
 		}
+	}
+}
+
+// TestNegativeSymexWorkersRunsOneExplorer pins the negative-budget mapping:
+// SymexWorkers < 0 selects one frontier explorer per job.
+func TestNegativeSymexWorkersRunsOneExplorer(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1, SymexWorkers: -1, CacheEntries: -1})
+	defer svc.Shutdown(context.Background())
+	job, err := svc.Submit(corpus.ByIdx(7).Pair)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	rep, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if rep.Stats.Workers != 1 {
+		t.Errorf("Stats.Workers = %d, want 1", rep.Stats.Workers)
 	}
 }
 

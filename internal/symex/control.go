@@ -97,19 +97,13 @@ func (e *Executor) branch(st *State, fr *Frame, in *isa.Inst, directed bool) err
 			}
 		}
 		if ok {
-			// Record the untried direction (if any) for backtracking
-			// before this path commits. A frontier worker records it even
-			// in naive mode, where the emitted alternative plays the role
-			// of the fork's second child.
-			if (directed || e.emit != nil) && i == 0 &&
+			// Leave the untried direction (if any) pending in the
+			// frontier before this path commits.
+			if directed && i == 0 &&
 				!(prunedTaken >= 0 && opts[1].block != prunedTaken) &&
 				!(oracleTaken >= 0 && opts[1].block != oracleTaken) &&
 				fr.visits[opts[1].block] < e.cfg.Theta {
-				var d int64
-				if directed {
-					d = e.blockScore(fr, opts[1].block)
-				}
-				e.pushChoice(st, []*expr.Expr{opts[1].constraint}, []int64{d})
+				e.emit(st, []*expr.Expr{opts[1].constraint}, []int64{e.blockScore(fr, opts[1].block)})
 			}
 			if fr.visits[o.block] > 0 {
 				e.stat.LoopStates++ // the paper's transient loop state
@@ -236,7 +230,7 @@ func (e *Executor) callIndirect(st *State, fr *Frame, in *isa.Inst, visitor Visi
 			continue
 		}
 		rank := int64(1 << 30)
-		if directed && e.cfg.Distances != nil {
+		if directed {
 			if fd, ok := e.cfg.Distances.FuncDist(callee.Name); ok {
 				rank = int64(fd)
 			}
@@ -257,14 +251,14 @@ func (e *Executor) callIndirect(st *State, fr *Frame, in *isa.Inst, visitor Visi
 			return false, err
 		}
 		if ok {
-			if (directed || e.emit != nil) && i+1 < len(cands) {
+			if directed && i+1 < len(cands) {
 				alts := make([]*expr.Expr, 0, len(cands)-i-1)
 				dists := make([]int64, 0, len(cands)-i-1)
 				for _, rest := range cands[i+1:] {
 					alts = append(alts, expr.Bin(expr.OpEq, idx, expr.Const(rest.v)))
 					dists = append(dists, rest.rank)
 				}
-				e.pushChoice(st, alts, dists)
+				e.emit(st, alts, dists)
 			}
 			st.AddConstraint(pin)
 			callee := resolve(c.v)

@@ -58,7 +58,7 @@ type Config struct {
 	// Prune, when non-nil, supplies sound static facts (folded branches,
 	// dead blocks) from the pre-P2 analysis: the executor skips branch
 	// directions the pruner proves dead instead of spending SAT checks and
-	// backtrack slots on them. Because a pruned direction is infeasible on
+	// frontier slots on them. Because a pruned direction is infeasible on
 	// every path, the committed path, constraint set and result are
 	// identical with and without a pruner; only the work differs.
 	Prune cfg.Pruner
@@ -71,15 +71,15 @@ type Config struct {
 	// the committed path, constraint set and result are byte-identical with
 	// the oracle on or off; only the SAT checks differ.
 	Oracle StaticOracle
-	// MaxBacktracks bounds directed-mode decision reversals.
+	// MaxBacktracks bounds how many pending alternatives directed
+	// execution resumes.
 	MaxBacktracks int
-	// Workers selects the exploration engine. 0 (the default) runs the
-	// sequential backtracking loop. Workers >= 1 runs the parallel frontier
-	// engine with that many explorer goroutines; 1 is the deterministic
-	// reference configuration, and any N >= 1 produces the same Result
-	// (modulo Stats) as long as MaxBacktracks is not hit mid-run. When
-	// Workers > 1 the Visitor may be invoked from multiple goroutines
-	// concurrently and must be safe for that.
+	// Workers is the number of explorer goroutines Run uses; 0 and 1 both
+	// mean one explorer, the deterministic reference configuration. Any
+	// N >= 1 produces the same Result (modulo Stats) as long as
+	// MaxBacktracks is not hit mid-run. When Workers > 1 the Visitor may be
+	// invoked from multiple goroutines concurrently and must be safe for
+	// that.
 	Workers int
 	// SolverCache, when non-nil, memoizes satisfiability verdicts across
 	// feasibility checks. Sharing one cache between executors (and between
@@ -153,9 +153,9 @@ type Stats struct {
 	Steps     int64
 	SatChecks int64
 	// States is the number of states explored (directed mode counts the
-	// initial path plus one per backtrack).
+	// root plus one per resumed alternative).
 	States int
-	// Backtracks counts directed-mode decision reversals (the paper's
+	// Backtracks counts directed-mode resumed alternatives (the paper's
 	// "increase the number of iterations and repeat" loop policy).
 	Backtracks int
 	// LoopStates counts symbolic decisions that re-entered an
@@ -171,17 +171,18 @@ type Stats struct {
 	// abstract-interpretation oracle proved the branch direction before the
 	// solver ever saw it (one per discharged feasibility query).
 	SatDischargedStatic int64
-	// PeakMemBytes is the peak estimated retained memory across live
-	// states (naive mode) or the final state footprint (directed mode).
+	// PeakMemBytes is the peak estimated retained memory: across live
+	// states in naive mode; in directed mode, the larger of the pending
+	// frontier's snapshots and any terminal state's footprint.
 	PeakMemBytes int64
-	// Workers is the number of explorer goroutines used; 0 means the
-	// sequential engine ran.
+	// Workers is the number of explorer goroutines used; 0 only for naive
+	// runs, which use none.
 	Workers int
 	// Steals counts frontier nodes executed by a worker other than the one
-	// that emitted them (parallel engine only).
+	// that emitted them (directed mode only).
 	Steals uint64
 	// FrontierPeak is the maximum number of pending nodes in the shared
-	// frontier heap (parallel engine only).
+	// frontier heap (directed mode only).
 	FrontierPeak int
 }
 
@@ -198,8 +199,8 @@ type Result struct {
 	Entries []EpEntry
 	// Path is the committed state's frontier identity: the sequence of
 	// emission ordinals from the root. It is the same for every worker
-	// count N >= 1 by the commit protocol (nil under the sequential
-	// engine, which does not track paths).
+	// count by the commit protocol (nil for naive runs, which do not track
+	// paths).
 	Path  []uint32
 	Stats Stats
 }
@@ -212,13 +213,10 @@ func (r *Result) Reached() bool { return r.Kind == KindActive }
 // stay small on pathological decision trees.
 const pathStringMax = 96
 
-// PathString renders a frontier path as dotted ordinals ("0.2.1"), "root"
-// for the empty path, and "" for nil (sequential engine). Long paths are
-// truncated with a trailing ellipsis.
+// PathString renders a frontier path as dotted ordinals ("0.2.1"), and
+// "root" for the empty path. Long paths are truncated with a trailing
+// ellipsis.
 func PathString(path []uint32) string {
-	if path == nil {
-		return ""
-	}
 	if len(path) == 0 {
 		return "root"
 	}
@@ -240,26 +238,16 @@ func PathString(path []uint32) string {
 	return string(b)
 }
 
-// choice is a pending alternative at a past decision point: a snapshot of
-// the state with the program counter still at the deciding instruction,
-// plus the constraints that select the untried directions. Re-executing the
-// instruction under an added alternative constraint makes the executor take
-// that direction.
-type choice struct {
-	snap *State
-	alts []*expr.Expr
-}
-
 // Executor runs symbolic execution over one program.
 type Executor struct {
 	prog *isa.Program
 	cfg  Config
 	sol  solver.Solver
 	stat Stats
-	// stack holds pending decision alternatives for directed backtracking.
-	stack []choice
-	// emit, when set, redirects pushChoice into the parallel frontier
-	// instead of the local stack (set per worker by the frontier engine).
+	// emit receives a directed decision's untried alternatives, with the
+	// program counter still at the deciding instruction so that resuming
+	// re-executes it under the alternative's constraint. Set per worker by
+	// the frontier engine, which pushes them into its shared heap.
 	emit func(st *State, alts []*expr.Expr, dists []int64)
 	// onResolve observes indirect-call resolutions (dynamic CFG discovery).
 	onResolve func(site isa.Loc, callee string)
@@ -356,87 +344,16 @@ func (e *Executor) concretize(st *State, v *expr.Expr) (val uint64, ok bool, err
 }
 
 // Run performs directed symbolic execution toward cfg.Target, invoking the
-// visitor at every arrival. It implements Algorithm 2 of the paper: the
-// state follows the backward-path preference at every decision, and a dead
-// state (loop-dead, program-dead, crash or premature exit) backtracks to
-// the most recent decision with an untried feasible alternative — which is
-// how the paper's "increase the number of iterations from one to θ"
-// loop-state handling manifests here.
-//
-// With Config.Workers >= 1 the run is delegated to the parallel frontier
-// engine, which explores the same decision tree concurrently and commits the
-// minimal-path outcome (see frontier.go for the determinism argument).
+// visitor at every arrival. It implements Algorithm 2 of the paper on the
+// frontier engine of frontier.go: the state follows the backward-path
+// preference at every decision and leaves the untried direction pending,
+// and a dead state (loop-dead, program-dead, crash or premature exit)
+// resumes the next-best pending alternative — which is how the paper's
+// "increase the number of iterations from one to θ" loop-state handling
+// manifests here. The committed outcome is the minimal-path one, the same
+// for every Config.Workers.
 func (e *Executor) Run(visitor Visitor) (*Result, error) {
-	if e.cfg.Workers >= 1 {
-		return runFrontier(e.prog, e.cfg, visitor, frontierBudgets{}, e.onResolve)
-	}
-	res, err := e.run(visitor)
-	kind := KindActive
-	if res != nil {
-		kind = res.Kind
-	}
-	e.cfg.Metrics.observe(&e.stat, kind)
-	if res != nil && res.Kind != KindActive {
-		e.cfg.Logger.Debug("directed run ended dead",
-			"kind", res.Kind.String(), "why", res.Why,
-			"states", e.stat.States, "backtracks", e.stat.Backtracks)
-	}
-	return res, err
-}
-
-func (e *Executor) run(visitor Visitor) (*Result, error) {
-	if e.cfg.Distances == nil {
-		return nil, ErrNoDistances
-	}
-	st := newState()
-	e.pushEntry(st)
-	e.stat.States = 1
-
-	var firstDeath *State
-	for {
-		for st.kind == KindActive {
-			if st.steps&stopCheckMask == 0 {
-				if e.stopHit() {
-					return nil, ErrStopped
-				}
-				// An injected forced cancellation is indistinguishable
-				// from the Stop channel closing mid-step.
-				if e.cfg.Faults.Fire(faultinject.SymexCancel) {
-					return nil, ErrStopped
-				}
-			}
-			if st.steps >= e.cfg.MaxSteps {
-				st.die(KindHung, fmt.Sprintf("step budget exhausted at %s", st.loc()))
-				break
-			}
-			stop, err := e.step(st, visitor, true)
-			if err != nil {
-				return nil, err
-			}
-			if stop {
-				res := e.result(st)
-				res.Kind = KindActive
-				return res, nil
-			}
-		}
-		switch st.kind {
-		case KindLoopDead:
-			e.stat.LoopDeads++
-		case KindProgramDead:
-			e.stat.ProgramDeads++
-		}
-		if firstDeath == nil || deathRank(st.kind) > deathRank(firstDeath.kind) {
-			firstDeath = st
-		}
-		next, err := e.backtrack()
-		if err != nil {
-			return nil, err
-		}
-		if next == nil {
-			return e.result(firstDeath), nil
-		}
-		st = next
-	}
+	return runFrontier(e.prog, e.cfg, visitor)
 }
 
 // deathRank orders terminal kinds by diagnostic value: an infeasible
@@ -462,62 +379,7 @@ func deathRank(k StateKind) int {
 	}
 }
 
-// pushChoice records untried alternatives at the current instruction,
-// snapshotting st with the program counter still at the deciding instruction
-// so that resuming re-executes it under the added alternative constraint.
-// dists carries the per-alternative frontier priority (backward-path
-// distance of the block the alternative leads to); the sequential stack
-// ignores it. When the executor belongs to a frontier worker the
-// alternatives go to the shared heap instead of the local stack.
-func (e *Executor) pushChoice(st *State, alts []*expr.Expr, dists []int64) {
-	if len(alts) == 0 {
-		return
-	}
-	if e.emit != nil {
-		e.emit(st, alts, dists)
-		return
-	}
-	e.stack = append(e.stack, choice{snap: st.clone(), alts: alts})
-}
-
-// backtrack resumes the most recent decision that still has a feasible
-// untried alternative, or returns nil when exhausted.
-func (e *Executor) backtrack() (*State, error) {
-	for len(e.stack) > 0 {
-		if e.stopHit() {
-			return nil, ErrStopped
-		}
-		if e.stat.Backtracks >= e.cfg.MaxBacktracks {
-			return nil, nil
-		}
-		top := &e.stack[len(e.stack)-1]
-		if len(top.alts) == 0 {
-			e.stack = e.stack[:len(e.stack)-1]
-			continue
-		}
-		alt := top.alts[0]
-		top.alts = top.alts[1:]
-		base := top.snap
-		if len(top.alts) > 0 {
-			base = base.clone()
-		} else {
-			e.stack = e.stack[:len(e.stack)-1]
-		}
-		ok, err := e.feasible(base, alt)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		e.stat.Backtracks++
-		e.stat.States++
-		base.AddConstraint(alt)
-		return base, nil
-	}
-	return nil, nil
-}
-
+// result builds a naive-mode Result from a terminal state.
 func (e *Executor) result(st *State) *Result {
 	e.stat.Steps = st.steps
 	if fp := st.footprint(); fp > e.stat.PeakMemBytes {
@@ -534,9 +396,11 @@ func (e *Executor) result(st *State) *Result {
 	}
 }
 
-func (e *Executor) pushEntry(st *State) {
-	entry := e.prog.Func(e.prog.Entry)
-	st.frames = append(st.frames, &Frame{fn: entry, visits: map[int]int{0: 1}})
+// entryState returns a fresh state positioned at the program entry.
+func entryState(prog *isa.Program) *State {
+	st := newState()
+	st.frames = append(st.frames, &Frame{fn: prog.Func(prog.Entry), visits: map[int]int{0: 1}})
+	return st
 }
 
 // step executes one instruction of st. directed selects the branch policy.

@@ -1,8 +1,8 @@
 package symex
 
-// frontier.go implements the parallel exploration engine selected by
-// Config.Workers >= 1: a bounded pool of explorer goroutines sharing one
-// priority heap of pending decision alternatives ("nodes").
+// frontier.go implements directed exploration (Executor.Run): a pool of
+// Config.Workers explorer goroutines (one by default) sharing one priority
+// heap of pending decision alternatives ("nodes").
 //
 // Protocol. Every state carries a path — the sequence of emission ordinals
 // from the root — and emitted children extend their parent's path by one
@@ -48,7 +48,7 @@ import (
 // node is one pending alternative in the shared frontier: a snapshot whose
 // program counter is still at the deciding instruction, plus the constraint
 // selecting the untried direction. Nodes emitted by one decision share their
-// snapshot; snapshots are immutable once emitted.
+// snapshot, which stays immutable while shared.
 type node struct {
 	snap *State
 	// alt is nil only for the root node.
@@ -57,22 +57,17 @@ type node struct {
 	path  []uint32
 	owner int // emitting worker; -1 for the root
 	mem   int64
-}
-
-// frontierBudgets carries the naive-mode resource bounds; zero values mean
-// unbounded (directed mode).
-type frontierBudgets struct {
-	mem    int64
-	states int
+	// owned marks a snapshot that backs this node alone (the root and every
+	// branch decision): only the one worker that pops the node can reach
+	// it, so materialize runs it in place instead of cloning it.
+	owned bool
 }
 
 // frontier is the shared engine state.
 type frontier struct {
-	prog     *isa.Program
-	cfg      Config
-	visitor  Visitor
-	directed bool
-	budgets  frontierBudgets
+	prog    *isa.Program
+	cfg     Config
+	visitor Visitor
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -81,8 +76,8 @@ type frontier struct {
 	active int
 	// draining stops pops but lets in-flight states finish (backtrack cap).
 	draining bool
-	// aborting stops pops and abandons in-flight states (cancel, hard
-	// error, memory or state budget).
+	// aborting stops pops and abandons in-flight states (cancel or hard
+	// error).
 	aborting bool
 	err      error
 
@@ -91,8 +86,6 @@ type frontier struct {
 	frontierMem, peakMem    int64
 	frontierPeak            int
 	steals                  uint64
-	memExceeded             bool
-	statesExceeded          bool
 
 	// best is the minimal-path successful terminal state.
 	best *State
@@ -183,37 +176,20 @@ func heapPop(h *[]*node) *node {
 	return top
 }
 
-// runFrontier explores prog with cfg.Workers explorer goroutines. directed
-// mode is selected by cfg.Distances being required (the caller decides);
-// here it is inferred from budgets: directed runs pass zero budgets.
-func runFrontier(prog *isa.Program, cfg Config, visitor Visitor, budgets frontierBudgets, onResolve func(isa.Loc, string)) (*Result, error) {
+// runFrontier explores prog toward cfg.Target with max(1, cfg.Workers)
+// explorer goroutines.
+func runFrontier(prog *isa.Program, cfg Config, visitor Visitor) (*Result, error) {
 	cfg = normalize(cfg)
-	directed := budgets == frontierBudgets{}
-	if directed && cfg.Distances == nil {
+	if cfg.Distances == nil {
 		return nil, ErrNoDistances
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// Indirect-call resolution observers are written for sequential runs;
-	// serialize calls so a parallel run cannot corrupt them.
-	if onResolve != nil {
-		var omu sync.Mutex
-		orig := onResolve
-		onResolve = func(l isa.Loc, c string) {
-			omu.Lock()
-			defer omu.Unlock()
-			orig(l, c)
-		}
-	}
+	workers := max(1, cfg.Workers)
 
-	f := &frontier{prog: prog, cfg: cfg, visitor: visitor, directed: directed, budgets: budgets}
+	f := &frontier{prog: prog, cfg: cfg, visitor: visitor}
 	f.cond = sync.NewCond(&f.mu)
 
-	initial := newState()
-	initial.frames = append(initial.frames, &Frame{fn: prog.Func(prog.Entry), visits: map[int]int{0: 1}})
-	root := &node{snap: initial, path: []uint32{}, owner: -1, mem: initial.footprint()}
+	initial := entryState(prog)
+	root := &node{snap: initial, path: []uint32{}, owner: -1, mem: initial.footprint(), owned: true}
 	f.heap = []*node{root}
 	f.frontierMem = root.mem
 	f.peakMem = root.mem
@@ -222,11 +198,7 @@ func runFrontier(prog *isa.Program, cfg Config, visitor Visitor, budgets frontie
 	ws := make([]*fWorker, workers)
 	var wg sync.WaitGroup
 	for i := range ws {
-		w := &fWorker{id: i, f: f}
-		wcfg := cfg
-		wcfg.Workers = 0 // the worker executor is sequential internals only
-		w.ex = New(prog, wcfg)
-		w.ex.onResolve = onResolve
+		w := &fWorker{id: i, f: f, ex: New(prog, cfg)}
 		w.ex.emit = func(st *State, alts []*expr.Expr, dists []int64) {
 			f.emit(w.id, st, alts, dists)
 		}
@@ -279,7 +251,7 @@ func (w *fWorker) runNode(nd *node) {
 
 // pop blocks until a runnable node is available or the exploration is over,
 // returning nil in the latter case. It prunes beaten nodes, enforces the
-// backtrack and state budgets, and counts steals.
+// backtrack cap, and counts steals.
 func (f *frontier) pop(wid int) *node {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -296,13 +268,8 @@ func (f *frontier) pop(wid int) *node {
 			}
 		}
 		if !f.draining && len(f.heap) > 0 {
-			if f.directed && f.backtracks >= f.cfg.MaxBacktracks {
+			if f.backtracks >= f.cfg.MaxBacktracks {
 				f.draining = true
-				continue
-			}
-			if f.budgets.states > 0 && f.states >= f.budgets.states {
-				f.statesExceeded = true
-				f.aborting = true
 				continue
 			}
 			nd := heapPop(&f.heap)
@@ -322,8 +289,9 @@ func (f *frontier) pop(wid int) *node {
 }
 
 // materialize turns a popped node into a runnable state: feasibility check
-// against the shared snapshot (read-only), then clone and constrain. An
-// infeasible alternative is dropped without counting a state.
+// against the snapshot (read-only), then clone — unless the node owns its
+// snapshot — and constrain. An infeasible alternative is dropped without
+// counting a state.
 func (w *fWorker) materialize(nd *node) (*State, bool) {
 	if nd.alt != nil {
 		ok, err := w.ex.feasible(nd.snap, nd.alt)
@@ -338,7 +306,10 @@ func (w *fWorker) materialize(nd *node) (*State, bool) {
 			return nil, false
 		}
 	}
-	st := nd.snap.clone()
+	st := nd.snap
+	if !nd.owned {
+		st = st.clone()
+	}
 	st.path = nd.path
 	st.emitSeq = 0
 	if nd.alt != nil {
@@ -386,7 +357,7 @@ func (w *fWorker) run(st *State) {
 			st.die(KindHung, fmt.Sprintf("step budget exhausted at %s", st.loc()))
 			break
 		}
-		stop, err := e.step(st, f.visitor, f.directed)
+		stop, err := e.step(st, f.visitor, true)
 		if err != nil {
 			f.fail(err)
 			return
@@ -401,7 +372,8 @@ func (w *fWorker) run(st *State) {
 
 // emit pushes one decision's untried alternatives into the shared heap. The
 // running state's emitSeq assigns each child its path ordinal; the snapshot
-// is cloned once and shared (immutably) by all alternatives.
+// is cloned once and shared (immutably) by all alternatives, or owned
+// outright when there is only one.
 func (f *frontier) emit(owner int, st *State, alts []*expr.Expr, dists []int64) {
 	snap := st.clone()
 	snap.emitSeq = 0
@@ -412,11 +384,7 @@ func (f *frontier) emit(owner int, st *State, alts []*expr.Expr, dists []int64) 
 		copy(path, st.path)
 		path[len(st.path)] = st.emitSeq
 		st.emitSeq++
-		var d int64
-		if dists != nil {
-			d = dists[i]
-		}
-		nodes[i] = &node{snap: snap, alt: alt, dist: d, path: path, owner: owner, mem: mem}
+		nodes[i] = &node{snap: snap, alt: alt, dist: dists[i], path: path, owner: owner, mem: mem, owned: len(alts) == 1}
 	}
 	if f.cfg.Journal.Verbose() {
 		f.cfg.Journal.Emit(journal.EvSymexFork, journal.Attrs{"worker": owner, "children": len(alts), "path": PathString(st.path)})
@@ -434,10 +402,6 @@ func (f *frontier) emit(owner int, st *State, alts []*expr.Expr, dists []int64) 
 	}
 	if f.frontierMem > f.peakMem {
 		f.peakMem = f.frontierMem
-	}
-	if f.budgets.mem > 0 && f.frontierMem > f.budgets.mem {
-		f.memExceeded = true
-		f.aborting = true
 	}
 	f.cond.Broadcast()
 	f.mu.Unlock()
@@ -565,18 +529,12 @@ func (f *frontier) assemble(stat Stats) (*Result, error) {
 	switch {
 	case f.err != nil:
 		return nil, f.err
-	case f.memExceeded:
-		return &Result{Kind: KindHung, Why: "mem budget", Stats: stat}, ErrMemBudget
-	case f.statesExceeded:
-		return &Result{Kind: KindHung, Why: "state budget exhausted", Stats: stat}, nil
 	case f.best != nil:
 		return fromState(f.best, KindActive), nil
-	case f.directed && f.bestDeath != nil:
+	case f.bestDeath != nil:
 		return fromState(f.bestDeath, f.bestDeath.kind), nil
-	case f.directed:
+	default:
 		// Unreachable in practice: the root state always terminates.
 		return &Result{Kind: KindProgramDead, Why: "no state terminated", Stats: stat}, nil
-	default:
-		return &Result{Kind: KindProgramDead, Why: "frontier exhausted without reaching target", Stats: stat}, nil
 	}
 }

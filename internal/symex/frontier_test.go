@@ -148,61 +148,6 @@ func TestFrontierSolvesSameInput(t *testing.T) {
 	}
 }
 
-// TestFrontierNaiveDeterminism: parallel naive exploration commits the same
-// minimal-path success regardless of worker count.
-func TestFrontierNaiveDeterminism(t *testing.T) {
-	prog := branchyProg(t, 8)
-	run := func(workers int) *symex.Result {
-		res, err := symex.RunNaive(prog, symex.NaiveConfig{Target: "ep", InputSize: 64, Workers: workers})
-		if err != nil {
-			t.Fatalf("RunNaive(workers=%d) = %v", workers, err)
-		}
-		if !res.Reached() {
-			t.Fatalf("RunNaive(workers=%d): kind=%v (%s)", workers, res.Kind, res.Why)
-		}
-		return res
-	}
-	ref := resultIdentity(run(1))
-	for _, workers := range []int{2, 4, 8} {
-		if got := resultIdentity(run(workers)); got != ref {
-			t.Errorf("naive workers=%d differs from workers=1:\n%s\nvs\n%s", workers, ref, got)
-		}
-	}
-}
-
-// TestFrontierNaiveBudgets: the parallel naive engine still honors the
-// memory and state budget contracts. Note the frontier's memory profile is
-// DFS-like (pending nodes, not a full BFS wave), so unlike the sequential
-// baseline a 1 MiB budget no longer trips on the 2^14-path program; a
-// 1-byte budget makes the very first emission exceed it deterministically.
-func TestFrontierNaiveBudgets(t *testing.T) {
-	res, err := symex.RunNaive(branchyProg(t, 14), symex.NaiveConfig{
-		Target:    "ep",
-		InputSize: 64,
-		MemBudget: 1,
-		Workers:   4,
-	})
-	if !errors.Is(err, symex.ErrMemBudget) {
-		t.Fatalf("RunNaive() = %v, want ErrMemBudget", err)
-	}
-	if res == nil || res.Kind != symex.KindHung {
-		t.Fatalf("result = %+v, want KindHung", res)
-	}
-
-	res, err = symex.RunNaive(unreachableProg(t), symex.NaiveConfig{
-		Target:    "ep",
-		InputSize: 8,
-		MaxStates: 2,
-		Workers:   1,
-	})
-	if err != nil {
-		t.Fatalf("RunNaive(MaxStates=2) = %v", err)
-	}
-	if res.Kind != symex.KindHung || res.Why != "state budget exhausted" {
-		t.Fatalf("result = %v (%s), want state budget exhaustion", res.Kind, res.Why)
-	}
-}
-
 // TestFrontierSharedSolverCache: workers sharing one solver cache must agree
 // with the uncached run and actually hit the cache (re-checked conditions
 // recur across sibling states).

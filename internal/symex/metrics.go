@@ -42,13 +42,13 @@ type Metrics struct {
 	// abstract-interpretation oracle decided the branch first.
 	SatDischargedStatic *telemetry.Counter
 	// Steals counts frontier nodes executed by a worker other than the one
-	// that emitted them (parallel engine only).
+	// that emitted them (directed runs only).
 	Steals *telemetry.Counter
 	// FrontierPeak records the peak pending-node depth of the shared
-	// frontier heap of the most recent parallel run.
+	// frontier heap of the most recent directed run.
 	FrontierPeak *telemetry.Gauge
 	// WorkerSteps observes the per-worker symbolic step count of each
-	// parallel run — a flat distribution means the work-stealing frontier
+	// directed run — a flat distribution means the work-stealing frontier
 	// balanced the exploration.
 	WorkerSteps *telemetry.Histogram
 	// Solver, when set, is threaded into the executor's internal solver so
@@ -77,13 +77,13 @@ func (m *Metrics) observe(st *Stats, finalKind StateKind) {
 	if finalKind == KindLoopDead {
 		m.ThetaExhausted.Inc()
 	}
-	if st.Workers >= 1 {
+	if st.Workers >= 1 { // directed run
 		m.Steals.Add(st.Steals)
 		m.FrontierPeak.Set(int64(st.FrontierPeak))
 	}
 }
 
-// observeWorkers flushes the per-worker step distribution of one parallel
+// observeWorkers flushes the per-worker step distribution of one directed
 // run.
 func (m *Metrics) observeWorkers(steps []int64) {
 	if m == nil {

@@ -47,10 +47,6 @@ type NaiveConfig struct {
 	// Metrics receives run-level counters, flushed once per exploration;
 	// may be nil.
 	Metrics *Metrics
-	// Workers selects the engine: 0 (default) runs the sequential
-	// BFS/DFS fork loop; >= 1 runs the parallel frontier engine, where
-	// DFS is ignored (the frontier pops in deterministic path order).
-	Workers int
 	// SolverCache, when non-nil, memoizes satisfiability verdicts across
 	// feasibility checks; safe to share between explorations.
 	SolverCache *solver.Cache
@@ -92,27 +88,6 @@ func runNaive(prog *isa.Program, cfg NaiveConfig, onResolve func(isa.Loc, string
 	if cfg.MaxStates <= 0 {
 		cfg.MaxStates = 1 << 20
 	}
-	// The parallel frontier engine handles naive exploration as an
-	// undirected instance of the same decision tree. Dynamic-CFG discovery
-	// (onResolve != nil) stays sequential: its artifact must be a pure
-	// function of the program, independent of worker scheduling.
-	if cfg.Workers >= 1 && onResolve == nil {
-		stopVisitor := func(EpEntry, *State) (Decision, error) { return Stop, nil }
-		return runFrontier(prog, Config{
-			InputSize:   cfg.InputSize,
-			MaxSteps:    cfg.MaxSteps,
-			Theta:       cfg.Theta,
-			SatBudget:   cfg.SatBudget,
-			Target:      cfg.Target,
-			Stop:        cfg.Stop,
-			Metrics:     cfg.Metrics,
-			Workers:     cfg.Workers,
-			SolverCache: cfg.SolverCache,
-			Prune:       cfg.Prune,
-			Oracle:      cfg.Oracle,
-			Faults:      cfg.Faults,
-		}, stopVisitor, frontierBudgets{mem: cfg.MemBudget, states: cfg.MaxStates}, nil)
-	}
 	e := New(prog, Config{
 		InputSize: cfg.InputSize,
 		MaxSteps:  cfg.MaxSteps,
@@ -134,8 +109,7 @@ func runNaive(prog *isa.Program, cfg NaiveConfig, onResolve func(isa.Loc, string
 		e.cfg.Metrics.observe(&e.stat, kind)
 	}()
 
-	initial := newState()
-	e.pushEntry(initial)
+	initial := entryState(prog)
 	frontier := []*State{initial}
 	frontierMem := initial.footprint()
 	e.stat.PeakMemBytes = frontierMem

@@ -8,18 +8,19 @@
 // resolved by the directed policy (backward-path distances plus
 // satisfiability checks) or, in naive mode, by forking.
 //
-// Two engines share the stepping core. Config.Workers == 0 selects the
-// sequential backtracking loop (Algorithm 2 of the paper, one state at a
-// time); Workers >= 1 selects the parallel frontier engine of frontier.go,
-// which explores the same decision tree with a pool of explorer goroutines
-// over a shared minimal-distance work heap.
+// Directed execution (Run) is Algorithm 2 of the paper on the frontier
+// engine of frontier.go: explorer goroutines — one by default — share a
+// min-heap of pending decision alternatives ordered by backward-path
+// distance, and commit the minimal-path outcome. Naive exploration
+// (RunNaive, Discover) is a sequential BFS/DFS fork loop over the same
+// stepping core.
 //
 // Concurrency: an Executor and its States are confined to one goroutine and
-// are not safe for concurrent use. The parallel engine gets its concurrency
-// by giving every worker a private Executor and exchanging only immutable
-// state snapshots through the frontier heap; the only caller-visible
-// consequence is that a Visitor runs concurrently when Config.Workers > 1
-// and must be safe for that.
+// are not safe for concurrent use. The frontier engine gets its concurrency
+// by giving every worker a private Executor and exchanging state snapshots
+// through the frontier heap that no two workers ever mutate; the only
+// caller-visible consequence is that a Visitor runs concurrently when
+// Config.Workers > 1 and must be safe for that.
 package symex
 
 import (

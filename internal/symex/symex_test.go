@@ -573,32 +573,27 @@ func TestOracleJournalsDischarges(t *testing.T) {
 	}
 }
 
-// TestOracleNaiveAndFrontier pins the same contract on the naive fork loop
-// and the parallel frontier engine.
-func TestOracleNaiveAndFrontier(t *testing.T) {
+// TestOracleNaive pins the same contract on the naive fork loop.
+func TestOracleNaive(t *testing.T) {
 	prog := oracleProg(t)
-	oracle := absint.Analyze(prog)
-	for _, workers := range []int{0, 2} {
-		off, err := symex.RunNaive(prog, symex.NaiveConfig{Target: "ep", InputSize: 16, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d off: %v", workers, err)
-		}
-		on, err := symex.RunNaive(prog, symex.NaiveConfig{Target: "ep", InputSize: 16, Workers: workers, Oracle: oracle})
-		if err != nil {
-			t.Fatalf("workers=%d on: %v", workers, err)
-		}
-		if !off.Reached() || !on.Reached() {
-			t.Fatalf("workers=%d reached: off=%v on=%v", workers, off.Kind, on.Kind)
-		}
-		if string(solveInput(t, off, 16)) != string(solveInput(t, on, 16)) {
-			t.Errorf("workers=%d solved inputs diverge", workers)
-		}
-		if on.Stats.SatDischargedStatic == 0 {
-			t.Errorf("workers=%d: nothing discharged", workers)
-		}
-		if on.Stats.SatChecks >= off.Stats.SatChecks {
-			t.Errorf("workers=%d: SAT checks not reduced (on=%d off=%d)",
-				workers, on.Stats.SatChecks, off.Stats.SatChecks)
-		}
+	off, err := symex.RunNaive(prog, symex.NaiveConfig{Target: "ep", InputSize: 16})
+	if err != nil {
+		t.Fatalf("off: %v", err)
+	}
+	on, err := symex.RunNaive(prog, symex.NaiveConfig{Target: "ep", InputSize: 16, Oracle: absint.Analyze(prog)})
+	if err != nil {
+		t.Fatalf("on: %v", err)
+	}
+	if !off.Reached() || !on.Reached() {
+		t.Fatalf("reached: off=%v on=%v", off.Kind, on.Kind)
+	}
+	if string(solveInput(t, off, 16)) != string(solveInput(t, on, 16)) {
+		t.Error("solved inputs diverge")
+	}
+	if on.Stats.SatDischargedStatic == 0 {
+		t.Error("nothing discharged")
+	}
+	if on.Stats.SatChecks >= off.Stats.SatChecks {
+		t.Errorf("SAT checks not reduced (on=%d off=%d)", on.Stats.SatChecks, off.Stats.SatChecks)
 	}
 }
