@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	octopocs -all                 verify every corpus pair
+//	octopocs -all                 verify the 15 Table II rows (-pair takes 1-21)
 //	octopocs -all -workers 4      same, concurrently via the service pool
 //	octopocs -pair 8              verify one Table II row
 //	octopocs -pair 9 -poc out.bin write the reformed PoC to a file
@@ -56,7 +56,7 @@ func run(args []string) error {
 	}
 	fs := flag.NewFlagSet("octopocs", flag.ContinueOnError)
 	var (
-		all         = fs.Bool("all", false, "verify every corpus pair")
+		all         = fs.Bool("all", false, "verify the 15 Table II rows (-pair also takes rows 16-21)")
 		pairIdx     = fs.Int("pair", 0, "verify one corpus row (1-15 Table II, 16-17 static set, 18-21 hybrid set)")
 		pocOut      = fs.String("poc", "", "write the reformed PoC to this file")
 		contextFree = fs.Bool("context-free", false, "disable context-aware taint analysis")

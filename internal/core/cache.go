@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 
 	"octopocs/internal/asm"
@@ -59,37 +60,41 @@ type P2Artifact struct {
 	Absint bool
 }
 
-// SetCaches installs artifact caches for the P1 (S-side) and P2-prep
-// (T-side) results. Either may be nil to disable that class. Artifacts put
-// into a cache are never mutated afterward, so a single cache may back any
-// number of concurrent pipelines.
-func (p *Pipeline) SetCaches(p1, p2 Cache) {
-	p.p1Cache = p1
-	p.p2Cache = p2
+// Artifact-cache classes: the keys of the map handed to SetCaches, and the
+// prefix of every key stored under that class.
+const (
+	ClassP1     = "p1" // preprocessing + P1 taint (*P1Artifact)
+	ClassP2     = "p2" // P2 preparation: CFG and distance maps (*P2Artifact)
+	ClassStatic = "ps" // static pre-analysis (*mirstatic.Analysis)
+	ClassAbsint = "ai" // value ranges (*absint.Result)
+	ClassHybrid = "hy" // fallback campaign outcome (*hybrid.Outcome)
+)
+
+// Classes lists every artifact class.
+var Classes = []string{ClassP1, ClassP2, ClassStatic, ClassAbsint, ClassHybrid}
+
+// classPhase names the phase owning each class, as journaled by cache.probe.
+var classPhase = map[string]string{
+	ClassP1:     "p1",
+	ClassP2:     "p2_prep",
+	ClassStatic: "static",
+	ClassAbsint: "absint",
+	ClassHybrid: "hybrid",
 }
 
-// SetAbsintCache installs the artifact cache for abstract-interpretation
-// value ranges. Nil disables the class. Kept separate from SetCaches so
-// existing call sites need no change.
-func (p *Pipeline) SetAbsintCache(c Cache) {
-	p.aiCache = c
-}
-
-// SetHybridCache installs the artifact cache for hybrid-campaign outcomes
-// (the hy: class). Nil disables the class. Cached rescues are replayed on
-// the concrete VM before reuse, so a damaged artifact degrades to a
-// recompute, never to a wrong verdict.
-func (p *Pipeline) SetHybridCache(c Cache) {
-	p.hyCache = c
+// SetCaches installs the artifact caches, keyed by class (see Classes). A
+// class that is absent is not cached, and its keys are never derived.
+// Artifacts put into a cache are never mutated afterward, so one cache may
+// back any number of concurrent pipelines. Call before the first
+// verification.
+func (p *Pipeline) SetCaches(caches map[string]Cache) {
+	p.caches = maps.Clone(caches)
 }
 
 // cacheGet reads an artifact through the fault injector: an injected
 // cache-read failure degrades to a miss, so the phase recomputes the
 // artifact it would have loaded — slower, never different.
 func (p *Pipeline) cacheGet(c Cache, key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
 	if p.cfg.Faults.Fire(faultinject.CoreCacheGet) {
 		return nil, false
 	}
@@ -101,9 +106,6 @@ func (p *Pipeline) cacheGet(c Cache, key string) (any, bool) {
 // instead of hitting; verdicts are unaffected because only complete
 // artifacts are ever stored.
 func (p *Pipeline) cachePut(c Cache, key string, v any) {
-	if c == nil {
-		return
-	}
 	if p.cfg.Faults.Fire(faultinject.CoreCachePut) {
 		return
 	}

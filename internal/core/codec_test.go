@@ -82,7 +82,7 @@ func TestCodecRoundTripPreservesReports(t *testing.T) {
 
 			p1c, p2c := newMapCache(), newMapCache()
 			cold := core.New(tc.cfg)
-			cold.SetCaches(p1c, p2c)
+			cold.SetCaches(map[string]core.Cache{core.ClassP1: p1c, core.ClassP2: p2c, core.ClassStatic: p2c})
 			coldRep, err := cold.Verify(pair)
 			if err != nil {
 				t.Fatalf("cold verify: %v", err)
@@ -92,7 +92,8 @@ func TestCodecRoundTripPreservesReports(t *testing.T) {
 			}
 
 			warm := core.New(tc.cfg)
-			warm.SetCaches(roundTrip(t, p1c), roundTrip(t, p2c))
+			warmP2 := roundTrip(t, p2c)
+			warm.SetCaches(map[string]core.Cache{core.ClassP1: roundTrip(t, p1c), core.ClassP2: warmP2, core.ClassStatic: warmP2})
 			warmRep, err := warm.Verify(simplePair(t, "BB"))
 			if err != nil {
 				t.Fatalf("warm verify: %v", err)

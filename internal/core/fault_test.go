@@ -124,7 +124,7 @@ func TestCacheFaultsDegradeToRecompute(t *testing.T) {
 	}
 	in := injector(t, "core.cache_get:rate=1;core.cache_put:rate=1")
 	p := core.New(core.Config{Faults: in})
-	p.SetCaches(newMapStore(), newMapStore())
+	p.SetCaches(map[string]core.Cache{core.ClassP1: newMapStore(), core.ClassP2: newMapStore()})
 	for i := 0; i < 2; i++ {
 		rep, err := p.Verify(simplePair(t, "BB"))
 		if err != nil {

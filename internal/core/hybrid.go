@@ -111,46 +111,33 @@ func (p *Pipeline) phaseHybrid(ctx context.Context, pair *Pair, ep string, dist 
 		Workers:     p.cfg.HybridWorkers,
 	}
 
-	var key string
-	if p.hyCache != nil {
-		key = p.hyKey(pair, ep, c)
-		v, hit := p.cacheGet(p.hyCache, key)
-		rec.Emit(journal.EvCacheProbe,
-			journal.Attrs{"phase": "hybrid", "key": key, "hit": hit})
-		if hit {
-			if o, ok := v.(*hybrid.Outcome); ok {
-				if hybrid.Revalidate(c, o) {
-					rec.Emit(journal.EvHybridConfirm, journal.Attrs{
-						"confirmed": true, "cached": true, "crash_loc": o.CrashLoc})
-					return o, true
-				}
-				// A rescue whose poc′ no longer reproduces: discard and
-				// recompute rather than report a stale crash.
-				p.cfg.Metrics.hybridRejected()
-				rec.Emit(journal.EvHybridConfirm, journal.Attrs{
-					"confirmed": false, "cached": true, "crash_loc": o.CrashLoc})
-			}
+	revalidate := func(o *hybrid.Outcome) bool {
+		ok := hybrid.Revalidate(c, o)
+		if !ok {
+			p.cfg.Metrics.hybridRejected()
 		}
+		rec.Emit(journal.EvHybridConfirm, journal.Attrs{
+			"confirmed": ok, "cached": true, "crash_loc": o.CrashLoc})
+		return ok
 	}
-
-	rec.Emit(journal.EvHybridStart, journal.Attrs{
-		"reason": string(reason),
-		"seeds":  len(seeds),
-		"frozen": len(frozen),
-		"execs":  c.MaxExecs,
+	out, hit, _ := cached(ctx, p, ClassHybrid, func() string { return p.hyKey(pair, ep, c) }, revalidate, func() (*hybrid.Outcome, error) {
+		rec.Emit(journal.EvHybridStart, journal.Attrs{
+			"reason": string(reason),
+			"seeds":  len(seeds),
+			"frozen": len(frozen),
+			"execs":  c.MaxExecs,
+		})
+		start := time.Now()
+		out := c.Run()
+		p.cfg.Metrics.hybridObserve(out, time.Since(start))
+		rec.Emit(journal.EvHybridDone, journal.Attrs{
+			"rescued":    out.Rescued,
+			"execs":      out.Execs,
+			"masked_arm": out.MaskedArm,
+			"winner":     out.WinnerShard,
+			"crash_loc":  out.CrashLoc,
+		})
+		return out, nil
 	})
-	start := time.Now()
-	out := c.Run()
-	p.cfg.Metrics.hybridObserve(out, time.Since(start))
-	rec.Emit(journal.EvHybridDone, journal.Attrs{
-		"rescued":    out.Rescued,
-		"execs":      out.Execs,
-		"masked_arm": out.MaskedArm,
-		"winner":     out.WinnerShard,
-		"crash_loc":  out.CrashLoc,
-	})
-	if p.hyCache != nil {
-		p.cachePut(p.hyCache, key, out)
-	}
-	return out, false
+	return out, hit
 }

@@ -10,6 +10,7 @@ import (
 	"octopocs/internal/cfg"
 	"octopocs/internal/expr"
 	"octopocs/internal/faultinject"
+	"octopocs/internal/hybrid"
 	"octopocs/internal/isa"
 	"octopocs/internal/journal"
 	"octopocs/internal/mirstatic"
@@ -102,14 +103,13 @@ type Config struct {
 }
 
 // Pipeline verifies pairs. Create with New. A Pipeline holds no per-run
-// state, so one instance may verify many pairs concurrently; attached
-// caches must be concurrency-safe (see SetCaches).
+// state, so one instance may verify many pairs concurrently. Artifact
+// caches are attached per class with SetCaches and must be
+// concurrency-safe.
 type Pipeline struct {
-	cfg     Config
-	p1Cache Cache
-	p2Cache Cache
-	aiCache Cache
-	hyCache Cache
+	cfg Config
+	// caches holds the artifact cache of each class; see SetCaches.
+	caches map[string]Cache
 	// satCache memoizes satisfiability verdicts across all phases and all
 	// concurrent verifications sharing this pipeline; nil when disabled.
 	satCache *solver.Cache
@@ -148,15 +148,25 @@ const inputSlack = 64
 // return the entry point of ℓ (the bottom-most ℓ function on the crash
 // backtrace).
 func (p *Pipeline) FindEp(pair *Pair) (string, error) {
-	out := p.runConcrete(context.Background(), pair.S, pair.PoC, pair.MaxSteps)
+	_, ep, err := p.crashEp(context.Background(), pair)
+	return ep, err
+}
+
+// crashEp is preprocessing: crash S with the PoC and find ep, the
+// bottom-most ℓ function on the crash backtrace.
+func (p *Pipeline) crashEp(ctx context.Context, pair *Pair) (*vm.Crash, string, error) {
+	out := p.runConcrete(ctx, pair.S, pair.PoC, pair.MaxSteps)
+	if out.Status == vm.StatusStopped {
+		return nil, "", ctxErr(ctx)
+	}
 	if !out.Crashed() {
-		return "", fmt.Errorf("pair %s: poc does not crash S (%s)", pair.Name, out)
+		return nil, "", fmt.Errorf("pair %s: poc does not crash S (%s)", pair.Name, out)
 	}
 	ep, ok := epFromBacktrace(out.Crash.Backtrace, pair.Lib)
 	if !ok {
-		return "", fmt.Errorf("pair %s: no ℓ function on the S crash backtrace", pair.Name)
+		return nil, "", fmt.Errorf("pair %s: no ℓ function on the S crash backtrace", pair.Name)
 	}
-	return ep, nil
+	return out.Crash, ep, nil
 }
 
 // Verify runs the full pipeline on one pair.
@@ -199,26 +209,18 @@ func (p *Pipeline) VerifyContext(ctx context.Context, pair *Pair) (*Report, erro
 // evidence at exactly one place.
 func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recorder) (*Report, error) {
 	rep := &Report{Pair: pair.Name}
-	tr := telemetry.TraceFrom(ctx)
-	root := tr.Start("verify", nil)
+	root := telemetry.TraceFrom(ctx).Start("verify", nil)
 	root.SetAttr("pair", pair.Name)
 	defer root.End()
 
 	// Preprocessing + P1 (cache-aware): crash S with the PoC, find ep on
 	// the backtrace, extract crash primitives.
-	t0 := time.Now()
-	sp := tr.Start("p1", root)
 	var p1 *P1Artifact
-	var p1Cached bool
-	err := p.retryTransient(ctx, "p1", func() error {
-		var rerr error
-		p1, p1Cached, rerr = p.phase1(ctx, pair, sp)
-		return rerr
+	var err error
+	rep.Timings.P1Cached, err = p.phase(ctx, root, "p1", &rep.Timings.P1, func(sp *telemetry.Span) (hit bool, err error) {
+		p1, hit, err = p.phase1(ctx, pair, sp)
+		return hit, err
 	})
-	sp.SetAttr("cached", p1Cached)
-	sp.End()
-	rep.Timings.P1 = time.Since(t0)
-	rep.Timings.P1Cached = p1Cached
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +228,7 @@ func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recor
 	ep := p1.Ep
 	rep.Ep = ep
 	rep.Bunches = p1.Bunches
-	rec.Emit(journal.EvP1Done, journal.Attrs{"ep": ep, "bunches": len(p1.Bunches), "cached": p1Cached})
+	rec.Emit(journal.EvP1Done, journal.Attrs{"ep": ep, "bunches": len(p1.Bunches), "cached": rep.Timings.P1Cached})
 
 	// ep must exist in T at all (ℓ is shared, but be defensive).
 	if pair.T.Func(ep) == nil {
@@ -239,15 +241,11 @@ func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recor
 	// unknown opcodes widen to ⊤ — so there is no degraded path to manage.
 	var ai *absint.Result
 	if p.cfg.Absint {
-		t0 = time.Now()
-		asp := tr.Start("absint", root)
-		var aiCached bool
-		ai, aiCached = p.phaseAbsint(ctx, pair)
-		asp.SetAttr("cached", aiCached)
-		asp.SetAttr("proved_branches", ai.Summary.ProvedBranches)
-		asp.End()
-		rep.Timings.Absint = time.Since(t0)
-		rep.Timings.AbsintCached = aiCached
+		rep.Timings.AbsintCached, _ = p.phase(ctx, root, "absint", &rep.Timings.Absint, func(sp *telemetry.Span) (hit bool, _ error) {
+			ai, hit = p.phaseAbsint(ctx, pair)
+			sp.SetAttr("proved_branches", ai.Summary.ProvedBranches)
+			return hit, nil
+		})
 		rep.Absint = &ai.Summary
 	}
 
@@ -257,17 +255,13 @@ func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recor
 	// statically-unreachable verdict with zero symbolic execution.
 	var sa *mirstatic.Analysis
 	if p.staticEnabled(pair) {
-		t0 = time.Now()
-		ssp := tr.Start("static", root)
-		var staticCached bool
-		sa, staticCached, err = p.phaseStatic(ctx, pair, ai)
-		ssp.SetAttr("cached", staticCached)
-		if sa != nil {
-			ssp.SetAttr("dead_blocks", sa.Summary.DeadBlocks)
-		}
-		ssp.End()
-		rep.Timings.Static = time.Since(t0)
-		rep.Timings.StaticCached = staticCached
+		rep.Timings.StaticCached, err = p.phase(ctx, root, "static", &rep.Timings.Static, func(sp *telemetry.Span) (hit bool, err error) {
+			sa, hit, err = p.phaseStatic(ctx, pair, ai)
+			if sa != nil {
+				sp.SetAttr("dead_blocks", sa.Summary.DeadBlocks)
+			}
+			return hit, err
+		})
 		if err != nil {
 			if !faultinject.IsDegraded(err) {
 				return nil, err
@@ -289,7 +283,7 @@ func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recor
 		if sa != nil {
 			rep.Static = &sa.Summary
 			rec.Emit(journal.EvStaticDone, journal.Attrs{
-				"cached":      staticCached,
+				"cached":      rep.Timings.StaticCached,
 				"dead_blocks": sa.Summary.DeadBlocks,
 				"folded":      sa.Summary.FoldedBranches,
 				"regions":     sa.Summary.DeadRegions,
@@ -312,23 +306,15 @@ func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recor
 	// partial — when it misses the edge to ep, verification fails (the
 	// Idx-15 angr analog) rather than risking an unsound not-triggerable
 	// verdict.
-	t0 = time.Now()
-	sp = tr.Start("p2_prep", root)
 	var prep *P2Artifact
-	var p2Cached bool
-	err = p.retryTransient(ctx, "p2_prep", func() error {
-		var rerr error
-		prep, p2Cached, rerr = p.phase2Prep(ctx, pair, ep, sa, ai, sp)
-		return rerr
+	rep.Timings.P2Cached, err = p.phase(ctx, root, "p2_prep", &rep.Timings.P2Prep, func(sp *telemetry.Span) (hit bool, err error) {
+		prep, hit, err = p.phase2Prep(ctx, pair, ep, sa, ai, sp)
+		return hit, err
 	})
-	sp.SetAttr("cached", p2Cached)
-	sp.End()
-	rep.Timings.P2Prep = time.Since(t0)
-	rep.Timings.P2Cached = p2Cached
 	if err != nil {
 		return nil, err
 	}
-	rec.Emit(journal.EvP2Done, journal.Attrs{"cached": p2Cached, "reachable": prep.Dist != nil})
+	rec.Emit(journal.EvP2Done, journal.Attrs{"cached": rep.Timings.P2Cached, "reachable": prep.Dist != nil})
 	if prep.Dist == nil {
 		if err := prep.Graph.CheckResolvable(ep); err != nil {
 			// The Idx-15 case: the CFG tool cannot rule reachability
@@ -343,18 +329,13 @@ func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recor
 
 	// P2 + P3: directed symbolic execution with bunch placement.
 	rec.Emit(journal.EvSymexStart, journal.Attrs{"ep": ep, "input_size": p.symInputSize(pair)})
-	t0 = time.Now()
-	sp = tr.Start("reform", root)
 	var pocPrime, partial []byte
 	var stats symex.Stats
 	var reason Reason
-	err = p.retryTransient(ctx, "reform", func() error {
-		var rerr error
-		pocPrime, partial, stats, reason, rerr = p.reform(ctx, pair, ep, prep.Dist, p1.Bunches, prunerOf(sa), oracleOf(ai), sp)
-		return rerr
+	_, err = p.phase(ctx, root, "reform", &rep.Timings.Reform, func(sp *telemetry.Span) (_ bool, err error) {
+		pocPrime, partial, stats, reason, err = p.reform(ctx, pair, ep, prep.Dist, p1.Bunches, prunerOf(sa), oracleOf(ai), sp)
+		return false, err
 	})
-	sp.End()
-	rep.Timings.Reform = time.Since(t0)
 	if err != nil {
 		return nil, err
 	}
@@ -366,14 +347,12 @@ func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recor
 		// reasons (unsat, program-dead, param-mismatch, ep-not-called)
 		// never reach the campaign.
 		if p.cfg.HybridFuzz && hybridEligible(reason) {
-			t0 = time.Now()
-			hsp := tr.Start("hybrid", root)
-			hout, hyCached := p.phaseHybrid(ctx, pair, ep, prep.Dist, p1.Bunches, partial, reason)
-			hsp.SetAttr("cached", hyCached)
-			hsp.SetAttr("rescued", hout.Rescued)
-			hsp.End()
-			rep.Timings.Hybrid = time.Since(t0)
-			rep.Timings.HybridCached = hyCached
+			var hout *hybrid.Outcome
+			rep.Timings.HybridCached, _ = p.phase(ctx, root, "hybrid", &rep.Timings.Hybrid, func(sp *telemetry.Span) (hit bool, _ error) {
+				hout, hit = p.phaseHybrid(ctx, pair, ep, prep.Dist, p1.Bunches, partial, reason)
+				sp.SetAttr("rescued", hout.Rescued)
+				return hit, nil
+			})
 			rep.Hybrid = hout
 			if hout.Rescued {
 				rep.PoCPrime = append([]byte(nil), hout.PoCPrime...)
@@ -413,104 +392,129 @@ func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recor
 	return rep, nil
 }
 
+// phase runs one pipeline phase under the pipeline's one instrumentation
+// site: the span name under root, the retry of transient faults, the span's
+// cached attribute, and the phase's wall time into *took. fn reports
+// whether its artifact came from the cache; it may set result attributes
+// on sp and parent child spans to it.
+func (p *Pipeline) phase(ctx context.Context, root *telemetry.Span, name string, took *time.Duration, fn func(sp *telemetry.Span) (cached bool, err error)) (bool, error) {
+	t0 := time.Now()
+	sp := telemetry.TraceFrom(ctx).Start(name, root)
+	var hit bool
+	err := p.retryTransient(ctx, name, func() (err error) {
+		hit, err = fn(sp)
+		return err
+	})
+	sp.SetAttr("cached", hit)
+	sp.End()
+	*took = time.Since(t0)
+	return hit, err
+}
+
+// cached is the pipeline's one artifact-cache path. With no cache attached
+// to class it only runs compute, and the key is never derived. Otherwise it
+// derives the key, reads through cacheGet and journals the probe. A hit of
+// type T that valid accepts (nil accepts every hit) is returned as is. On a
+// miss or a rejected hit compute runs, and its artifact is stored through
+// cachePut only when compute succeeds: an error, including the one a
+// cancelled computation returns, never populates the cache.
+func cached[T any](ctx context.Context, p *Pipeline, class string, key func() string, valid func(T) bool, compute func() (T, error)) (T, bool, error) {
+	c := p.caches[class]
+	if c == nil {
+		art, err := compute()
+		return art, false, err
+	}
+	k := key()
+	v, hit := p.cacheGet(c, k)
+	journal.FromContext(ctx).Emit(journal.EvCacheProbe, journal.Attrs{"phase": classPhase[class], "key": k, "hit": hit})
+	if art, ok := v.(T); hit && ok && (valid == nil || valid(art)) {
+		return art, true, nil
+	}
+	art, err := compute()
+	if err != nil {
+		return art, false, err
+	}
+	p.cachePut(c, k, art)
+	return art, false, nil
+}
+
 // phase4 is the concrete verification tail shared by the reform path and
 // the hybrid fallback: replay rep.PoCPrime on T, and on a crash inside ℓ
 // set the given verdict, minimize, and classify Type-I/Type-II. It reports
 // whether the crash held; the caller owns the no-crash verdict.
 func (p *Pipeline) phase4(ctx context.Context, pair *Pair, rep *Report, verdict Verdict, root *telemetry.Span, rec *journal.Recorder) (bool, error) {
-	tr := telemetry.TraceFrom(ctx)
-	t0 := time.Now()
-	p4 := tr.Start("p4", root)
-	defer func() { rep.Timings.P4 = time.Since(t0) }()
-	defer p4.End()
-	tOut := p.runConcrete(ctx, pair.T, rep.PoCPrime, pair.MaxSteps)
-	if tOut.Status == vm.StatusStopped {
-		return false, ctxErr(ctx)
-	}
-	rec.Emit(journal.EvP4Verify, journal.Attrs{
-		"crashed": tOut.Crashed(),
-		"in_lib":  tOut.Crashed() && tOut.CrashedIn(pair.Lib),
-		"bytes":   len(rep.PoCPrime),
-	})
-	if !tOut.Crashed() || !tOut.CrashedIn(pair.Lib) {
-		return false, nil
-	}
-	rep.TCrash = tOut.Crash
-	rep.Verdict = verdict
-	// The paper observes that poc' "did not contain unnecessary bytes";
-	// trim trailing padding while the crash is preserved. Every candidate
-	// is re-verified concretely, so minimization cannot invalidate the
-	// verdict.
-	msp := tr.Start("minimize", p4)
-	before := len(rep.PoCPrime)
-	rep.PoCPrime = p.minimize(ctx, pair, rep.PoCPrime, tOut.Crash)
-	msp.SetAttr("bytes", len(rep.PoCPrime))
-	msp.End()
-	rec.Emit(journal.EvP4Minimize, journal.Attrs{"from": before, "to": len(rep.PoCPrime)})
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
+	var crashed bool
+	_, err := p.phase(ctx, root, "p4", &rep.Timings.P4, func(sp *telemetry.Span) (bool, error) {
+		tOut := p.runConcrete(ctx, pair.T, rep.PoCPrime, pair.MaxSteps)
+		if tOut.Status == vm.StatusStopped {
+			return false, ctxErr(ctx)
+		}
+		rec.Emit(journal.EvP4Verify, journal.Attrs{
+			"crashed": tOut.Crashed(),
+			"in_lib":  tOut.Crashed() && tOut.CrashedIn(pair.Lib),
+			"bytes":   len(rep.PoCPrime),
+		})
+		if !tOut.Crashed() || !tOut.CrashedIn(pair.Lib) {
+			return false, nil
+		}
+		rep.TCrash = tOut.Crash
+		rep.Verdict = verdict
+		// The paper observes that poc' "did not contain unnecessary
+		// bytes"; trim trailing padding while the crash is preserved.
+		// Every candidate is re-verified concretely, so minimization
+		// cannot invalidate the verdict.
+		tr := telemetry.TraceFrom(ctx)
+		msp := tr.Start("minimize", sp)
+		before := len(rep.PoCPrime)
+		rep.PoCPrime = p.minimize(ctx, pair, rep.PoCPrime, tOut.Crash)
+		msp.SetAttr("bytes", len(rep.PoCPrime))
+		msp.End()
+		rec.Emit(journal.EvP4Minimize, journal.Attrs{"from": before, "to": len(rep.PoCPrime)})
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
 
-	// Type classification: Type-I when the original poc already triggers
-	// T (its guiding input needs no reform).
-	csp := tr.Start("classify", p4)
-	defer csp.End()
-	origOut := p.runConcrete(ctx, pair.T, pair.PoC, pair.MaxSteps)
-	if origOut.Status == vm.StatusStopped {
-		return false, ctxErr(ctx)
-	}
-	rep.GuidingSame = origOut.Crashed() && origOut.CrashedIn(pair.Lib)
-	if rep.GuidingSame {
-		rep.Type = TypeI
-	} else {
-		rep.Type = TypeII
-	}
-	rec.Emit(journal.EvP4Classify, journal.Attrs{"guiding_same": rep.GuidingSame})
-	return true, nil
+		// Type classification: Type-I when the original poc already
+		// triggers T (its guiding input needs no reform).
+		csp := tr.Start("classify", sp)
+		defer csp.End()
+		origOut := p.runConcrete(ctx, pair.T, pair.PoC, pair.MaxSteps)
+		if origOut.Status == vm.StatusStopped {
+			return false, ctxErr(ctx)
+		}
+		rep.GuidingSame = origOut.Crashed() && origOut.CrashedIn(pair.Lib)
+		if rep.GuidingSame {
+			rep.Type = TypeI
+		} else {
+			rep.Type = TypeII
+		}
+		rec.Emit(journal.EvP4Classify, journal.Attrs{"guiding_same": rep.GuidingSame})
+		crashed = true
+		return false, nil
+	})
+	return crashed, err
 }
 
 // phase1 produces (or retrieves) the S-side artifact: preprocessing plus
-// the P1 taint run. The boolean result reports a cache hit. Only complete
-// artifacts are cached; error paths never populate the cache.
+// the P1 taint run. The boolean result reports a cache hit.
 func (p *Pipeline) phase1(ctx context.Context, pair *Pair, parent *telemetry.Span) (*P1Artifact, bool, error) {
-	var key string
-	if p.p1Cache != nil {
-		key = p.p1Key(pair)
-		v, hit := p.cacheGet(p.p1Cache, key)
-		journal.FromContext(ctx).Emit(journal.EvCacheProbe,
-			journal.Attrs{"phase": "p1", "key": key, "hit": hit})
-		if hit {
-			if art, ok := v.(*P1Artifact); ok {
-				return art, true, nil
-			}
+	return cached(ctx, p, ClassP1, func() string { return p.p1Key(pair) }, nil, func() (*P1Artifact, error) {
+		tr := telemetry.TraceFrom(ctx)
+		sp := tr.Start("crash_s", parent)
+		sCrash, ep, err := p.crashEp(ctx, pair)
+		sp.End()
+		if err != nil {
+			return nil, err
 		}
-	}
-	tr := telemetry.TraceFrom(ctx)
-	sp := tr.Start("crash_s", parent)
-	sOut := p.runConcrete(ctx, pair.S, pair.PoC, pair.MaxSteps)
-	sp.End()
-	if sOut.Status == vm.StatusStopped {
-		return nil, false, ctxErr(ctx)
-	}
-	if !sOut.Crashed() {
-		return nil, false, fmt.Errorf("pair %s: poc does not crash S (%s)", pair.Name, sOut)
-	}
-	ep, ok := epFromBacktrace(sOut.Crash.Backtrace, pair.Lib)
-	if !ok {
-		return nil, false, fmt.Errorf("pair %s: no ℓ function on the S crash backtrace", pair.Name)
-	}
-	sp = tr.Start("taint", parent)
-	sp.SetAttr("ep", ep)
-	bunches, err := p.extractPrimitives(ctx, pair, ep)
-	sp.End()
-	if err != nil {
-		return nil, false, fmt.Errorf("pair %s: P1: %w", pair.Name, err)
-	}
-	art := &P1Artifact{Ep: ep, SCrash: sOut.Crash, Bunches: bunches}
-	if p.p1Cache != nil {
-		p.cachePut(p.p1Cache, key, art)
-	}
-	return art, false, nil
+		sp = tr.Start("taint", parent)
+		sp.SetAttr("ep", ep)
+		bunches, err := p.extractPrimitives(ctx, pair, ep)
+		sp.End()
+		if err != nil {
+			return nil, fmt.Errorf("pair %s: P1: %w", pair.Name, err)
+		}
+		return &P1Artifact{Ep: ep, SCrash: sCrash, Bunches: bunches}, nil
+	})
 }
 
 // phase2Prep produces (or retrieves) the T-side preparation artifact: the
@@ -519,60 +523,49 @@ func (p *Pipeline) phase1(ctx context.Context, pair *Pair, parent *telemetry.Spa
 // graph omits provably dead blocks and folded-away branch edges, so the
 // distance maps never route through unreachable code.
 func (p *Pipeline) phase2Prep(ctx context.Context, pair *Pair, ep string, sa *mirstatic.Analysis, ai *absint.Result, parent *telemetry.Span) (*P2Artifact, bool, error) {
-	var key string
-	if p.p2Cache != nil {
-		key = p.p2Key(pair, ep, sa != nil, sa != nil && sa.Ranges != nil)
-		v, hit := p.cacheGet(p.p2Cache, key)
-		journal.FromContext(ctx).Emit(journal.EvCacheProbe,
-			journal.Attrs{"phase": "p2_prep", "key": key, "hit": hit})
-		if hit {
-			if art, ok := v.(*P2Artifact); ok {
-				return art, true, nil
+	pruned, withRanges := sa != nil, sa != nil && sa.Ranges != nil
+	key := func() string { return p.p2Key(pair, ep, pruned, withRanges) }
+	return cached(ctx, p, ClassP2, key, nil, func() (*P2Artifact, error) {
+		tr := telemetry.TraceFrom(ctx)
+		graph := cfg.BuildPruned(pair.T, prunerOf(sa))
+		if !p.cfg.StaticCFGOnly {
+			sp := tr.Start("discover", parent)
+			edges, derr := symex.Discover(pair.T, symex.NaiveConfig{
+				InputSize:   p.discoverInputSize(pair),
+				MaxSteps:    p.maxSteps(pair),
+				SatBudget:   p.cfg.SatBudget,
+				Stop:        ctx.Done(),
+				Metrics:     p.cfg.Metrics.symexSink(),
+				SolverCache: p.satCache,
+				Prune:       prunerOf(sa),
+				Oracle:      oracleOf(ai),
+				Faults:      p.cfg.Faults,
+			})
+			for _, e := range edges {
+				graph.ObserveCall(e.Site, e.Callee)
+			}
+			sp.End()
+			// A transiently faulted discovery leaves a partial edge set: a
+			// different dynamic CFG than the fault-free run would build.
+			// Surface it so the caller retries the whole phase.
+			if derr != nil {
+				return nil, derr
+			}
+			// A cancelled discovery leaves a partial edge set: usable for
+			// nothing, and in particular not cacheable — a cached artifact
+			// must be a pure function of its key.
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 		}
-	}
-	tr := telemetry.TraceFrom(ctx)
-	graph := cfg.BuildPruned(pair.T, prunerOf(sa))
-	if !p.cfg.StaticCFGOnly {
-		sp := tr.Start("discover", parent)
-		edges, derr := symex.Discover(pair.T, symex.NaiveConfig{
-			InputSize:   p.discoverInputSize(pair),
-			MaxSteps:    p.maxSteps(pair),
-			SatBudget:   p.cfg.SatBudget,
-			Stop:        ctx.Done(),
-			Metrics:     p.cfg.Metrics.symexSink(),
-			SolverCache: p.satCache,
-			Prune:       prunerOf(sa),
-			Oracle:      oracleOf(ai),
-			Faults:      p.cfg.Faults,
-		})
-		for _, e := range edges {
-			graph.ObserveCall(e.Site, e.Callee)
+		art := &P2Artifact{Graph: graph, Ep: ep, Pruned: pruned, Absint: withRanges}
+		if graph.Reachable(ep) {
+			sp := tr.Start("distance_map", parent)
+			art.Dist = graph.DistancesTo(ep)
+			sp.End()
 		}
-		sp.End()
-		// A transiently faulted discovery leaves a partial edge set: a
-		// different dynamic CFG than the fault-free run would build.
-		// Surface it so the caller retries the whole phase.
-		if derr != nil {
-			return nil, false, derr
-		}
-		// A cancelled discovery leaves a partial edge set: usable for
-		// nothing, and in particular not cacheable — a cached artifact
-		// must be a pure function of its key.
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-	}
-	art := &P2Artifact{Graph: graph, Ep: ep, Pruned: sa != nil, Absint: sa != nil && sa.Ranges != nil}
-	if graph.Reachable(ep) {
-		sp := tr.Start("distance_map", parent)
-		art.Dist = graph.DistancesTo(ep)
-		sp.End()
-	}
-	if p.p2Cache != nil {
-		p.cachePut(p.p2Cache, key, art)
-	}
-	return art, false, nil
+		return art, nil
+	})
 }
 
 // minimize shortens a verified poc' from the tail while the crash at the

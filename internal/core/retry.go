@@ -1,11 +1,13 @@
 package core
 
-// retry.go is the transient-fault recovery of the pipeline: phases P1, P2
-// preparation, and the P2+P3 reform run are wrapped in a bounded retry loop
-// with capped exponential backoff. A retry is sound because every phase is
-// pure recomputation of its inputs and error paths never populate the
-// artifact or sat caches — re-running a failed phase reproduces exactly the
-// result the fault-free run would have produced.
+// retry.go is the transient-fault recovery of the pipeline: every phase
+// runs in a bounded retry loop with capped exponential backoff (see
+// Pipeline.phase). Only P1, P2 preparation and the P2+P3 reform run can
+// return a transient error; the static layer's injected fault is
+// degradable, which is never retried. A retry is sound because every phase
+// is pure recomputation of its inputs and error paths never populate the
+// artifact or sat caches — re-running a failed phase reproduces exactly
+// the result the fault-free run would have produced.
 
 import (
 	"context"

@@ -12,7 +12,6 @@ import (
 	"octopocs/internal/asm"
 	"octopocs/internal/cfg"
 	"octopocs/internal/faultinject"
-	"octopocs/internal/journal"
 	"octopocs/internal/mirstatic"
 	"octopocs/internal/symex"
 )
@@ -49,25 +48,13 @@ func absintKey(pair *Pair) string {
 // malformed opcodes widen to ⊤ instead of failing — so there is no error
 // path.
 func (p *Pipeline) phaseAbsint(ctx context.Context, pair *Pair) (*absint.Result, bool) {
-	var key string
-	if p.aiCache != nil {
-		key = absintKey(pair)
-		v, hit := p.cacheGet(p.aiCache, key)
-		journal.FromContext(ctx).Emit(journal.EvCacheProbe,
-			journal.Attrs{"phase": "absint", "key": key, "hit": hit})
-		if hit {
-			if ai, ok := v.(*absint.Result); ok {
-				return ai, true
-			}
-		}
-	}
-	start := time.Now()
-	ai := absint.Analyze(pair.T)
-	p.cfg.Metrics.absintObserve(&ai.Summary, time.Since(start))
-	if p.aiCache != nil {
-		p.cachePut(p.aiCache, key, ai)
-	}
-	return ai, false
+	ai, hit, _ := cached(ctx, p, ClassAbsint, func() string { return absintKey(pair) }, nil, func() (*absint.Result, error) {
+		start := time.Now()
+		ai := absint.Analyze(pair.T)
+		p.cfg.Metrics.absintObserve(&ai.Summary, time.Since(start))
+		return ai, nil
+	})
+	return ai, hit
 }
 
 // phaseStatic produces (or retrieves) the static pre-analysis of T: the MIR
@@ -76,31 +63,18 @@ func (p *Pipeline) phaseAbsint(ctx context.Context, pair *Pair) (*absint.Result,
 // a cache hit. A verifier rejection is a hard error — a malformed T cannot
 // be verified soundly by any later phase either.
 func (p *Pipeline) phaseStatic(ctx context.Context, pair *Pair, ai *absint.Result) (*mirstatic.Analysis, bool, error) {
-	var key string
-	if p.p2Cache != nil {
-		key = staticKey(pair, ai != nil)
-		v, hit := p.cacheGet(p.p2Cache, key)
-		journal.FromContext(ctx).Emit(journal.EvCacheProbe,
-			journal.Attrs{"phase": "static", "key": key, "hit": hit})
-		if hit {
-			if sa, ok := v.(*mirstatic.Analysis); ok {
-				return sa, true, nil
-			}
+	return cached(ctx, p, ClassStatic, func() string { return staticKey(pair, ai != nil) }, nil, func() (*mirstatic.Analysis, error) {
+		if err := p.cfg.Faults.Err(faultinject.CoreStatic); err != nil {
+			return nil, fmt.Errorf("pair %s: static pre-analysis of T: %w", pair.Name, err)
 		}
-	}
-	if err := p.cfg.Faults.Err(faultinject.CoreStatic); err != nil {
-		return nil, false, fmt.Errorf("pair %s: static pre-analysis of T: %w", pair.Name, err)
-	}
-	start := time.Now()
-	sa, err := mirstatic.AnalyzeOpts(pair.T, mirstatic.Options{Absint: ai != nil, Ranges: ai})
-	if err != nil {
-		return nil, false, fmt.Errorf("pair %s: static pre-analysis of T: %w", pair.Name, err)
-	}
-	p.cfg.Metrics.staticObserve(&sa.Summary, time.Since(start))
-	if p.p2Cache != nil {
-		p.cachePut(p.p2Cache, key, sa)
-	}
-	return sa, false, nil
+		start := time.Now()
+		sa, err := mirstatic.AnalyzeOpts(pair.T, mirstatic.Options{Absint: ai != nil, Ranges: ai})
+		if err != nil {
+			return nil, fmt.Errorf("pair %s: static pre-analysis of T: %w", pair.Name, err)
+		}
+		p.cfg.Metrics.staticObserve(&sa.Summary, time.Since(start))
+		return sa, nil
+	})
 }
 
 // prunerOf adapts an optional analysis to the cfg.Pruner interface without

@@ -13,7 +13,7 @@ import (
 	"octopocs/internal/corpus"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/verdicts.golden from the current pipeline")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current pipeline")
 
 // goldenPath holds one line per (configuration, row): the verdict, type and
 // reason, plus the length and SHA-256 of poc'. It pins the exact reformed

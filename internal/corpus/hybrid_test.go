@@ -180,21 +180,22 @@ func TestHybridEquivalence(t *testing.T) {
 	}
 }
 
-// hyMapCache is a minimal concurrency-safe core.Cache for the corruption
-// test.
-type hyMapCache struct {
+// mapCache is a minimal concurrency-safe core.Cache for the cache tests.
+type mapCache struct {
 	mu sync.Mutex
 	m  map[string]any
 }
 
-func (c *hyMapCache) Get(key string) (any, bool) {
+func newMapCache() *mapCache { return &mapCache{m: make(map[string]any)} }
+
+func (c *mapCache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.m[key]
 	return v, ok
 }
 
-func (c *hyMapCache) Put(key string, v any) {
+func (c *mapCache) Put(key string, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m[key] = v
@@ -206,9 +207,9 @@ func (c *hyMapCache) Put(key string, v any) {
 // poc'.
 func TestHybridCacheCorruptionRejected(t *testing.T) {
 	s := corpus.ByIdx(18)
-	cache := &hyMapCache{m: make(map[string]any)}
+	cache := newMapCache()
 	pl := core.New(core.Config{HybridFuzz: true})
-	pl.SetHybridCache(cache)
+	pl.SetCaches(map[string]core.Cache{core.ClassHybrid: cache})
 
 	rep, err := pl.Verify(s.Pair)
 	if err != nil {
@@ -258,9 +259,9 @@ func TestHybridCacheCorruptionRejected(t *testing.T) {
 // after the replay gate re-confirms it.
 func TestHybridCacheHitRevalidated(t *testing.T) {
 	s := corpus.ByIdx(20)
-	cache := &hyMapCache{m: make(map[string]any)}
+	cache := newMapCache()
 	pl := core.New(core.Config{HybridFuzz: true})
-	pl.SetHybridCache(cache)
+	pl.SetCaches(map[string]core.Cache{core.ClassHybrid: cache})
 
 	rep, err := pl.Verify(s.Pair)
 	if err != nil {

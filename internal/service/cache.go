@@ -5,19 +5,6 @@ import (
 	"sync"
 )
 
-// Store is the pluggable backend behind the phase-artifact cache. It is a
-// superset of core.Cache (adding size introspection), so any Store can be
-// installed on a pipeline via core.Pipeline.SetCaches. Implementations must
-// be safe for concurrent use.
-type Store interface {
-	// Get returns the artifact stored under key, if any.
-	Get(key string) (any, bool)
-	// Put stores an artifact under key, evicting at its discretion.
-	Put(key string, v any)
-	// Len reports the number of live entries.
-	Len() int
-}
-
 // CacheCounters is a point-in-time snapshot of one cache's accounting.
 type CacheCounters struct {
 	Hits      uint64 `json:"hits"`
@@ -26,10 +13,12 @@ type CacheCounters struct {
 	Entries   int    `json:"entries"`
 }
 
-// LRU is a fixed-capacity, least-recently-used Store with hit/miss/eviction
-// accounting. A single mutex guards the whole structure: artifact lookups
-// are tiny compared to the verifications they save, so finer-grained
-// locking would buy nothing.
+// LRU is a fixed-capacity, least-recently-used core.Cache with
+// hit/miss/eviction accounting: the in-memory backend of every artifact
+// class, and of the journal, when no persistent store is plugged in (see
+// Config.Stores). A single mutex guards the whole structure: artifact
+// lookups are tiny compared to the verifications they save, so
+// finer-grained locking would buy nothing.
 type LRU struct {
 	mu     sync.Mutex
 	max    int

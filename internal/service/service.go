@@ -75,12 +75,9 @@ type Config struct {
 	CacheEntries int
 	// Pipeline configures the underlying core pipeline.
 	Pipeline core.Config
-	// P1Store/P2Store override the default LRU backends; useful for
-	// plugging an external store. Ignored when CacheEntries < 0.
-	P1Store, P2Store Store
 	// Stores plugs the persistent tiered artifact stores (see OpenStores)
-	// behind the P1, P2/static, journal, and clone-fingerprint caches.
-	// Explicit P1Store/P2Store/JournalStore overrides still win per class.
+	// behind every pipeline artifact class, the journal, and the
+	// clone-fingerprint caches; without it each class is an in-memory LRU.
 	// The caller owns the bundle: open it before New, close it after
 	// Shutdown. While any store's disk tier is saturated, submissions are
 	// rejected with ErrSaturated.
@@ -100,11 +97,6 @@ type Config struct {
 	// JournalVerbose additionally retains per-state frontier and per-call
 	// solver events in each journal (journal.VerbVerbose).
 	JournalVerbose bool
-	// JournalStore overrides the backend persisting finished-job journals
-	// as content-addressed JSONL artifacts; the default is an LRU sized
-	// like the artifact caches. Ignored when CacheEntries < 0 and no
-	// override is given, or when JournalCapacity < 0.
-	JournalStore Store
 }
 
 // Service owns a worker pool verifying submitted pairs. Create with New;
@@ -112,11 +104,8 @@ type Config struct {
 type Service struct {
 	cfg    Config
 	pl     *core.Pipeline
-	p1c    Store
-	p2c    Store
-	aic    Store
-	hyc    Store
-	jrc    Store
+	caches map[string]core.Cache // one per core.Classes class; empty when caching is off
+	jrc    core.Cache            // finished-job journals; nil when journaling or caching is off
 	queue  chan *Job
 	wg     sync.WaitGroup
 	reg    *telemetry.Registry
@@ -139,30 +128,17 @@ type Service struct {
 	ctr         counters
 }
 
-// counters aggregates lifecycle and latency accounting; guarded by
-// Service.mu.
+// counters aggregates lifecycle accounting; guarded by Service.mu.
 type counters struct {
 	submitted uint64
 	rejected  uint64
 	completed uint64
 	failed    uint64
 	cancelled uint64
-	phase     [4]phaseAccum // indexed by phaseIdx
 }
 
-type phaseAccum struct {
-	n     uint64
-	total time.Duration
-}
-
-// Phase indices for counters.phase.
-const (
-	phaseP1 = iota
-	phaseP2Prep
-	phaseReform
-	phaseP4
-)
-
+// phaseNames are the phases whose latency the service reports, in the
+// order of serviceMetrics.phase.
 var phaseNames = [4]string{"p1", "p2_prep", "reform", "p4"}
 
 // New starts a service: the worker pool is live and accepting submissions
@@ -192,55 +168,28 @@ func New(cfg Config) *Service {
 	if cfg.TraceCapacity >= 0 {
 		s.traces = telemetry.NewTraceRing(cfg.TraceCapacity)
 	}
+	entries := cfg.CacheEntries
+	if entries == 0 {
+		entries = DefaultCacheEntries
+	}
 	if cfg.CacheEntries >= 0 {
-		entries := cfg.CacheEntries
-		if entries == 0 {
-			entries = DefaultCacheEntries
-		}
-		s.p1c, s.p2c = cfg.P1Store, cfg.P2Store
-		// Persistent stores slot in under any class without an explicit
-		// override; the plain LRU remains the fallback.
-		if s.p1c == nil && cfg.Stores != nil {
-			s.p1c = cfg.Stores.P1
-		}
-		if s.p2c == nil && cfg.Stores != nil {
-			s.p2c = cfg.Stores.P2
-		}
-		if s.p1c == nil {
-			s.p1c = NewLRU(entries)
-		}
-		if s.p2c == nil {
-			s.p2c = NewLRU(entries)
-		}
-		// The absint class only exists when the pipeline runs the analysis.
-		if cfg.Pipeline.Absint {
-			if cfg.Stores != nil {
-				s.aic = cfg.Stores.AI
-			}
-			if s.aic == nil {
-				s.aic = NewLRU(entries)
-			}
-		}
-		// Likewise the hybrid class only exists when the fallback is on.
-		if cfg.Pipeline.HybridFuzz {
-			if cfg.Stores != nil {
-				s.hyc = cfg.Stores.HY
-			}
-			if s.hyc == nil {
-				s.hyc = NewLRU(entries)
+		// Each class runs on its persistent store when one is plugged in,
+		// else on a plain LRU. Every class is installed: the pipeline only
+		// touches ai/hy when their layer is on.
+		persisted := cfg.Stores.pipelineStores()
+		s.caches = make(map[string]core.Cache, len(core.Classes))
+		for _, class := range core.Classes {
+			if st := persisted[class]; st != nil {
+				s.caches[class] = st
+			} else {
+				s.caches[class] = NewLRU(entries)
 			}
 		}
 	}
 	if cfg.JournalCapacity >= 0 {
-		s.jrc = cfg.JournalStore
-		if s.jrc == nil && cfg.Stores != nil {
+		if cfg.Stores != nil && cfg.Stores.Journal != nil {
 			s.jrc = cfg.Stores.Journal
-		}
-		if s.jrc == nil && cfg.CacheEntries >= 0 {
-			entries := cfg.CacheEntries
-			if entries == 0 {
-				entries = DefaultCacheEntries
-			}
+		} else if cfg.CacheEntries >= 0 {
 			s.jrc = NewLRU(entries)
 		}
 	}
@@ -257,15 +206,7 @@ func New(cfg Config) *Service {
 		pcfg.SymexWorkers = max(1, runtime.GOMAXPROCS(0)/cfg.Workers)
 	}
 	s.pl = core.New(pcfg)
-	if s.p1c != nil || s.p2c != nil {
-		s.pl.SetCaches(s.p1c, s.p2c)
-	}
-	if s.aic != nil {
-		s.pl.SetAbsintCache(s.aic)
-	}
-	if s.hyc != nil {
-		s.pl.SetHybridCache(s.hyc)
-	}
+	s.pl.SetCaches(s.caches)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -572,11 +513,6 @@ func (s *Service) finishJob(j *Job, rep *core.Report, err error) {
 	switch state {
 	case JobDone:
 		s.ctr.completed++
-		t := rep.Timings
-		for i, d := range [4]time.Duration{t.P1, t.P2Prep, t.Reform, t.P4} {
-			s.ctr.phase[i].n++
-			s.ctr.phase[i].total += d
-		}
 	case JobCancelled:
 		s.ctr.cancelled++
 	default:

@@ -1,15 +1,15 @@
 package service
 
 import (
-	"time"
-
 	"octopocs/internal/artifact"
+	"octopocs/internal/core"
 )
 
-// PhaseLatency summarizes completed-job latency for one pipeline phase.
-// The quantiles are estimated from the phase's fixed-bucket histogram
-// (linear interpolation within the winning bucket), so they are approximate
-// but cheap and mergeable — unlike the exact count/total pair.
+// PhaseLatency summarizes completed-job latency for one pipeline phase,
+// read from the phase's octopocs_phase_seconds histogram. Count and TotalMS
+// are its exact count and sum; the quantiles are estimated from its fixed
+// buckets (linear interpolation within the winning bucket), so they are
+// approximate but cheap and mergeable.
 type PhaseLatency struct {
 	Count   uint64  `json:"count"`
 	TotalMS float64 `json:"total_ms"`
@@ -68,28 +68,27 @@ func (s *Service) Stats() Stats {
 		PhaseLatency: make(map[string]PhaseLatency, len(phaseNames)),
 	}
 	for i, name := range phaseNames {
-		acc := s.ctr.phase[i]
-		pl := PhaseLatency{
-			Count:   acc.n,
-			TotalMS: float64(acc.total) / float64(time.Millisecond),
-		}
-		if acc.n > 0 {
-			pl.AvgMS = pl.TotalMS / float64(acc.n)
-		}
 		h := s.met.phase[i]
 		const ms = 1000
-		pl.P50MS = h.Quantile(0.50) * ms
-		pl.P90MS = h.Quantile(0.90) * ms
-		pl.P99MS = h.Quantile(0.99) * ms
+		pl := PhaseLatency{
+			Count:   h.Count(),
+			TotalMS: h.Sum() * ms,
+			P50MS:   h.Quantile(0.50) * ms,
+			P90MS:   h.Quantile(0.90) * ms,
+			P99MS:   h.Quantile(0.99) * ms,
+		}
+		if pl.Count > 0 {
+			pl.AvgMS = pl.TotalMS / float64(pl.Count)
+		}
 		st.PhaseLatency[name] = pl
 	}
-	// s.p1c/s.p2c are written once in New, before any worker or handler
-	// can call Stats, so reading them is safe anywhere; they stay inside
-	// the critical section so the whole snapshot is taken at one point in
-	// time. Lock order Service.mu → LRU.mu is safe: the cache never calls
-	// back into the service.
-	st.P1Cache = cacheCounters(s.p1c)
-	st.P2Cache = cacheCounters(s.p2c)
+	// s.caches and s.jrc are written once in New, before any worker or
+	// handler can call Stats, so reading them is safe anywhere; they stay
+	// inside the critical section so the whole snapshot is taken at one
+	// point in time. Lock order Service.mu → cache lock is safe: no cache
+	// calls back into the service.
+	st.P1Cache = cacheCounters(s.caches[core.ClassP1])
+	st.P2Cache = cacheCounters(s.caches[core.ClassP2])
 	st.JournalCache = cacheCounters(s.jrc)
 	st.Stores = s.cfg.Stores.Counters()
 	st.StoreSaturated = s.cfg.Stores.Saturated()
@@ -100,18 +99,18 @@ func (s *Service) Stats() Stats {
 // cacheCounters extracts accounting from stores that expose it, folding the
 // tiered artifact-store counters into the flat hit/miss view (the full
 // per-tier breakdown is in Stats.Stores).
-func cacheCounters(st Store) *CacheCounters {
-	switch c := st.(type) {
-	case interface{ Counters() CacheCounters }:
+func cacheCounters(c core.Cache) *CacheCounters {
+	switch c := c.(type) {
+	case *LRU:
 		cc := c.Counters()
 		return &cc
-	case interface{ Counters() artifact.Counters }:
+	case *artifact.Store:
 		ac := c.Counters()
 		return &CacheCounters{
 			Hits:      ac.Hits(),
 			Misses:    ac.Misses,
 			Evictions: ac.Evictions + ac.HotEvictions,
-			Entries:   st.Len(),
+			Entries:   c.Len(),
 		}
 	}
 	return nil

@@ -44,8 +44,15 @@ func allSpecs() []*corpus.PairSpec {
 // keyed by row index.
 func runCorpus(t *testing.T, svc *service.Service) map[int]*core.Report {
 	t.Helper()
+	return runSpecs(t, svc, allSpecs())
+}
+
+// runSpecs verifies the given corpus rows through svc and returns the
+// reports keyed by row index.
+func runSpecs(t *testing.T, svc *service.Service, specs []*corpus.PairSpec) map[int]*core.Report {
+	t.Helper()
 	jobs := make(map[int]*service.Job)
-	for _, spec := range allSpecs() {
+	for _, spec := range specs {
 		job, err := svc.Submit(spec.Pair)
 		if err != nil {
 			t.Fatalf("submit idx %d: %v", spec.Idx, err)
@@ -66,38 +73,69 @@ func runCorpus(t *testing.T, svc *service.Service) map[int]*core.Report {
 // TestWarmRestartRecomputesNothing is the tentpole acceptance scenario: a
 // service backed by the persistent store verifies the whole corpus, shuts
 // down, and a brand-new service over a brand-new store bundle (same
-// directory — the "restarted node") re-verifies it. Every P1 and P2-prep
-// artifact must come from the store, and every report must be identical.
+// directory — the "restarted node") re-verifies it. Every artifact of every
+// class that ran must come from the store, and every report must be
+// identical. The second configuration turns on every optional layer over
+// rows 16-21, so the ps, ai and hy classes are restarted too.
 func TestWarmRestartRecomputesNothing(t *testing.T) {
-	dir := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		cfg   core.Config
+		specs []*corpus.PairSpec
+	}{
+		{"default", core.Config{}, allSpecs()},
+		{"static+absint+hybrid", core.Config{StaticPrune: true, Absint: true, HybridFuzz: true},
+			append(corpus.StaticSet(), corpus.HybridSet()...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
 
-	st1 := openStores(t, dir, nil)
-	svc1 := service.New(service.Config{Workers: 4, Stores: st1})
-	cold := runCorpus(t, svc1)
-	svc1.Shutdown(context.Background())
-	st1.Close()
+			st1 := openStores(t, dir, nil)
+			svc1 := service.New(service.Config{Workers: 4, Stores: st1, Pipeline: tc.cfg})
+			cold := runSpecs(t, svc1, tc.specs)
+			svc1.Shutdown(context.Background())
+			st1.Close()
 
-	st2 := openStores(t, dir, nil)
-	defer st2.Close()
-	svc2 := service.New(service.Config{Workers: 4, Stores: st2})
-	defer svc2.Shutdown(context.Background())
-	warm := runCorpus(t, svc2)
+			st2 := openStores(t, dir, nil)
+			defer st2.Close()
+			svc2 := service.New(service.Config{Workers: 4, Stores: st2, Pipeline: tc.cfg})
+			defer svc2.Shutdown(context.Background())
+			warm := runSpecs(t, svc2, tc.specs)
 
-	for _, spec := range allSpecs() {
-		c, w := cold[spec.Idx], warm[spec.Idx]
-		if !w.Timings.P1Cached || !w.Timings.P2Cached {
-			t.Errorf("idx %d: warm restart recomputed artifacts (p1=%v p2=%v)",
-				spec.Idx, w.Timings.P1Cached, w.Timings.P2Cached)
-		}
-		cc, ww := *c, *w
-		cc.Timings, ww.Timings = core.PhaseTimings{}, core.PhaseTimings{}
-		if !reflect.DeepEqual(cc, ww) {
-			t.Errorf("idx %d: warm report differs from cold\ncold %+v\nwarm %+v", spec.Idx, cc, ww)
-		}
-	}
-	ctrs := st2.Counters()
-	if ctrs["p1"].DiskHits == 0 || ctrs["p2"].DiskHits == 0 {
-		t.Errorf("no disk hits recorded: p1=%+v p2=%+v", ctrs["p1"], ctrs["p2"])
+			for _, spec := range tc.specs {
+				c, w := cold[spec.Idx], warm[spec.Idx]
+				// A static short-circuit ends the job before P2.
+				p2Ran := w.Reason != core.ReasonStaticUnreachable
+				if !w.Timings.P1Cached || (p2Ran && !w.Timings.P2Cached) {
+					t.Errorf("idx %d: warm restart recomputed artifacts (p1=%v p2=%v)",
+						spec.Idx, w.Timings.P1Cached, w.Timings.P2Cached)
+				}
+				if tc.cfg.StaticPrune && !w.Timings.StaticCached {
+					t.Errorf("idx %d: warm restart recomputed the static analysis", spec.Idx)
+				}
+				if tc.cfg.Absint && !w.Timings.AbsintCached {
+					t.Errorf("idx %d: warm restart recomputed the value ranges", spec.Idx)
+				}
+				if w.Hybrid != nil && !w.Timings.HybridCached {
+					t.Errorf("idx %d: warm restart recomputed the hybrid campaign", spec.Idx)
+				}
+				cc, ww := *c, *w
+				cc.Timings, ww.Timings = core.PhaseTimings{}, core.PhaseTimings{}
+				if !reflect.DeepEqual(cc, ww) {
+					t.Errorf("idx %d: warm report differs from cold\ncold %+v\nwarm %+v", spec.Idx, cc, ww)
+				}
+			}
+			ctrs := st2.Counters()
+			classes := []string{"p1", "p2"}
+			if tc.cfg.HybridFuzz {
+				classes = append(classes, "ai", "hy")
+			}
+			for _, class := range classes {
+				if ctrs[class].DiskHits == 0 {
+					t.Errorf("no %s disk hits recorded: %+v", class, ctrs[class])
+				}
+			}
+		})
 	}
 }
 

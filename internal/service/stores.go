@@ -129,6 +129,22 @@ func (st *Stores) each(fn func(class string, s *artifact.Store)) {
 	}
 }
 
+// pipelineStores maps each pipeline artifact class (core.Classes) to the
+// store persisting it; static analyses share the P2 store. Nil on a nil
+// bundle.
+func (st *Stores) pipelineStores() map[string]*artifact.Store {
+	if st == nil {
+		return nil
+	}
+	return map[string]*artifact.Store{
+		core.ClassP1:     st.P1,
+		core.ClassP2:     st.P2,
+		core.ClassStatic: st.P2,
+		core.ClassAbsint: st.AI,
+		core.ClassHybrid: st.HY,
+	}
+}
+
 // Close closes every store. Safe on a partially opened bundle.
 func (st *Stores) Close() error {
 	if st == nil {

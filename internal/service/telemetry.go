@@ -19,7 +19,7 @@ type serviceMetrics struct {
 	cancelled *telemetry.Counter
 
 	// queueWait is submission-to-start latency; phase is per-phase
-	// pipeline latency of completed jobs, indexed like counters.phase.
+	// pipeline latency of completed jobs, indexed like phaseNames.
 	queueWait *telemetry.Histogram
 	phase     [4]*telemetry.Histogram
 
@@ -80,19 +80,19 @@ func newServiceMetrics(s *Service, reg *telemetry.Registry) *serviceMetrics {
 			return float64(s.running)
 		})
 	reg.Gauge("octopocs_workers", "Worker-pool size.", nil).Set(int64(s.cfg.Workers))
-	for name, store := range map[string]*Store{"p1": &s.p1c, "p2": &s.p2c} {
-		labels := telemetry.Labels{"cache": name}
-		st := store
+	for _, class := range []string{core.ClassP1, core.ClassP2} {
+		labels := telemetry.Labels{"cache": class}
+		c := s.caches[class]
 		reg.CounterFunc("octopocs_cache_hits_total",
 			"Artifact cache hits.", labels, func() float64 {
-				if cc := cacheCounters(*st); cc != nil {
+				if cc := cacheCounters(c); cc != nil {
 					return float64(cc.Hits)
 				}
 				return 0
 			})
 		reg.CounterFunc("octopocs_cache_misses_total",
 			"Artifact cache misses.", labels, func() float64 {
-				if cc := cacheCounters(*st); cc != nil {
+				if cc := cacheCounters(c); cc != nil {
 					return float64(cc.Misses)
 				}
 				return 0
