@@ -1,5 +1,6 @@
 // Command octobench regenerates the paper's evaluation artifacts: Tables
-// II through V and the § II-A PoC-type survey.
+// II through V, the § V-B latest-version findings, the parameter sweeps
+// and the § II-A PoC-type survey. Benchmarks live in cmd/octoledger.
 //
 // Usage:
 //
@@ -28,64 +29,21 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("octobench", flag.ContinueOnError)
 	var (
-		all        = fs.Bool("all", false, "regenerate every table and the survey")
-		table      = fs.Int("table", 0, "regenerate one table (2-5)")
-		doSurvey   = fs.Bool("survey", false, "run the § II-A PoC-type survey")
-		doLatest   = fs.Bool("latest", false, "run the § V-B latest-version verifications")
-		doSweeps   = fs.Bool("sweeps", false, "run the θ and naive-SE-memory parameter sweeps")
-		execs      = fs.Int64("execs", 300_000, "fuzzing execution budget for Table V")
-		memBudget  = fs.Int64("mem", 0, "naive-SE memory budget in bytes for Table IV (0 = default)")
-		workers    = fs.Int("workers", 0, "verify Table II pairs with a worker pool of this size (0 = sequential)")
-		doBench    = fs.Bool("bench-telemetry", false, "run the cold/warm service benchmarks and write machine-readable results")
-		benchOut   = fs.String("bench-out", "BENCH_telemetry.json", "with -bench-telemetry: output file")
-		doSymex    = fs.Bool("bench-symex", false, "run the parallel symbolic-execution scaling benchmarks")
-		symexOut   = fs.String("bench-symex-out", "BENCH_symex.json", "with -bench-symex: output file")
-		doStatic   = fs.Bool("bench-static", false, "run the static-prune pipeline benchmark (all pairs, pruning off vs on)")
-		staticOut  = fs.String("bench-static-out", "BENCH_static.json", "with -bench-static: output file")
-		doFaults   = fs.Bool("bench-faults", false, "run the fault-injection overhead benchmark (all pairs, clean vs canned chaos schedule)")
-		faultsOut  = fs.String("bench-faults-out", "BENCH_faults.json", "with -bench-faults: output file")
-		doClone    = fs.Bool("bench-clonedet", false, "run the clone-detection benchmark (every corpus CVE scanned and verified against the 17-target index)")
-		cloneOut   = fs.String("bench-clonedet-out", "BENCH_clonedet.json", "with -bench-clonedet: output file")
-		doJournal  = fs.Bool("bench-journal", false, "run the provenance-journal overhead benchmark (all pairs, journal off vs summary vs verbose)")
-		journalOut = fs.String("bench-journal-out", "BENCH_journal.json", "with -bench-journal: output file")
-		doStore    = fs.Bool("bench-store", false, "run the persistent-store warm-restart benchmark (all pairs cold, then reopened warm; fails if the warm pass recomputes anything)")
-		storeOut   = fs.String("bench-store-out", "BENCH_store.json", "with -bench-store: output file")
-		doHybrid   = fs.Bool("bench-hybrid", false, "run the hybrid-fallback benchmark (hybrid set off vs on; fails unless every symex-unresolvable pair is rescued and replay-confirmed, and pairs 1-17 stay byte-identical)")
-		hybridOut  = fs.String("bench-hybrid-out", "BENCH_hybrid.json", "with -bench-hybrid: output file")
+		all       = fs.Bool("all", false, "regenerate every table and the survey")
+		table     = fs.Int("table", 0, "regenerate one table (2-5)")
+		doSurvey  = fs.Bool("survey", false, "run the § II-A PoC-type survey")
+		doLatest  = fs.Bool("latest", false, "run the § V-B latest-version verifications")
+		doSweeps  = fs.Bool("sweeps", false, "run the θ and naive-SE-memory parameter sweeps")
+		execs     = fs.Int64("execs", 300_000, "fuzzing execution budget for Table V")
+		memBudget = fs.Int64("mem", 0, "naive-SE memory budget in bytes for Table IV (0 = default)")
+		workers   = fs.Int("workers", 0, "verify Table II pairs with a worker pool of this size (0 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *doBench {
-		return benchTelemetry(*benchOut)
-	}
-	if *doSymex {
-		return benchSymex(*symexOut)
-	}
-	if *doStatic {
-		return benchStatic(*staticOut)
-	}
-	if *doFaults {
-		return benchFaults(*faultsOut)
-	}
-	if *doClone {
-		return benchClonedet(*cloneOut, *workers)
-	}
-	if *doJournal {
-		return benchJournal(*journalOut)
-	}
-	if *doStore {
-		return benchStore(*storeOut, *workers)
-	}
-	if *doHybrid {
-		if err := benchHybrid(*hybridOut); err != nil {
-			return err
-		}
-		return checkHybridBaselineIdentity()
-	}
 	if !*all && *table == 0 && !*doSurvey && !*doLatest && !*doSweeps {
 		fs.Usage()
-		return fmt.Errorf("pass -all, -table N, -latest, -sweeps, -survey, -bench-telemetry, -bench-symex, -bench-static, -bench-faults, -bench-clonedet, -bench-journal, -bench-store, or -bench-hybrid")
+		return fmt.Errorf("pass -all, -table N, -latest, -sweeps, or -survey")
 	}
 
 	want := func(n int) bool { return *all || *table == n }

@@ -7,14 +7,14 @@ import (
 	"octopocs/internal/isa"
 )
 
-// SymexBenchSpec is one workload of the parallel-exploration benchmark
-// (octobench -bench-symex). Unlike the Table II pairs, these programs are
-// built so directed symbolic execution must exhaust an exponential frontier:
-// every diamond forks two feasible successors and the final gate guarding
-// the target is unsatisfiable, so no path ever commits a success that would
-// let the minimal-path protocol prune its siblings.
+// SymexBenchSpec is one workload of the directed-exploration benchmark
+// (octoledger's symex-frontier workload). Unlike the Table II pairs, these
+// programs are built so directed symbolic execution must exhaust an
+// exponential frontier: every diamond forks two feasible successors and the
+// final gate guarding the target is unsatisfiable, so no path ever commits a
+// success that would let the minimal-path protocol prune its siblings.
 type SymexBenchSpec struct {
-	// Name identifies the workload in BENCH_symex.json.
+	// Name identifies the workload in octoledger's symex-frontier results.
 	Name string
 	// Prog is the benchmark binary; Target is the function the directed
 	// run steers toward (never actually reachable).

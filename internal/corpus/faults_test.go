@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"octopocs/internal/core"
 	"octopocs/internal/corpus"
@@ -11,7 +12,7 @@ import (
 	"octopocs/internal/symex"
 )
 
-// TestVerdictStableUnderFaults drives the full 17-pair corpus through three
+// TestVerdictStableUnderFaults drives the full 17-pair corpus through four
 // canned fault schedules and pins the robustness contract to the paper's
 // ground truth: under retryable and degraded faults every pair must
 // reproduce its fault-free verdict and poc' byte-for-byte; under fatal
@@ -42,6 +43,16 @@ func TestVerdictStableUnderFaults(t *testing.T) {
 			name:     "degraded",
 			schedule: "seed=2;symex.worker_panic:nth=1;core.static:nth=1;solver.cache:rate=0.3;core.cache_put:rate=1",
 			cfg:      core.Config{StaticPrune: true},
+		},
+		// The canned chaos load: roughly one in ten Sat checks fails
+		// transiently, one worker panic is injected, and the shared
+		// SAT-verdict cache is bypassed half the time. Retry.Max covers the
+		// worst case (4 sat faults + 1 worker panic all landing in one
+		// phase), so recovery is guaranteed rather than probabilistic.
+		{
+			name:     "canned",
+			schedule: "seed=7;solver.sat:rate=0.1,count=4;symex.worker_panic:nth=1;solver.cache:rate=0.5",
+			cfg:      core.Config{Retry: core.RetryPolicy{Max: 6, BaseDelay: time.Millisecond}},
 		},
 		// Fatal: forced cancellation mid-exploration.
 		{

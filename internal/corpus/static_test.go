@@ -48,7 +48,8 @@ func TestStaticPoCsCrashS(t *testing.T) {
 // static pruning and abstract-interpretation value ranges. Only the Reason
 // may sharpen (a pair proven unreachable statically reports
 // statically-unreachable instead of the symex-derived reason) and the
-// effort statistics may shrink.
+// effort statistics may shrink. Over the whole corpus they must: with
+// pruning on, symex steps and SAT checks are strictly below the off totals.
 func TestStaticPruneEquivalence(t *testing.T) {
 	configs := []struct {
 		name string
@@ -64,7 +65,10 @@ func TestStaticPruneEquivalence(t *testing.T) {
 		pipelines[i] = core.New(c.cfg)
 	}
 	specs := append(corpus.All(), corpus.StaticSet()...)
-	shortCircuits := 0
+	shortCircuits, ran := 0, 0
+	// steps and sats total the symex effort per configuration.
+	steps := make([]int64, len(configs))
+	sats := make([]int64, len(configs))
 	for _, s := range specs {
 		s := s
 		t.Run(s.Label(), func(t *testing.T) {
@@ -79,6 +83,9 @@ func TestStaticPruneEquivalence(t *testing.T) {
 			if repOff.Absint != nil {
 				t.Errorf("off report carries an absint summary: %v", repOff.Absint)
 			}
+			ran++
+			steps[0] += repOff.Stats.Steps
+			sats[0] += repOff.Stats.SatChecks
 			for i := 1; i < len(configs); i++ {
 				name, cfg := configs[i].name, configs[i].cfg
 				rep, err := pipelines[i].Verify(s.Pair)
@@ -86,6 +93,8 @@ func TestStaticPruneEquivalence(t *testing.T) {
 					t.Fatalf("Verify (%s): %v", name, err)
 				}
 				t.Logf("%s: %v", name, rep)
+				steps[i] += rep.Stats.Steps
+				sats[i] += rep.Stats.SatChecks
 				if rep.Verdict != repOff.Verdict {
 					t.Errorf("%s: verdict %v, off %v", name, rep.Verdict, repOff.Verdict)
 				}
@@ -118,6 +127,16 @@ func TestStaticPruneEquivalence(t *testing.T) {
 	}
 	if shortCircuits == 0 {
 		t.Error("no pair short-circuited to statically-unreachable")
+	}
+	if ran < len(specs) {
+		return // a -run filter selected a subset; the totals mean nothing
+	}
+	for i, c := range configs {
+		t.Logf("%s: %d symex steps, %d sat checks", c.name, steps[i], sats[i])
+		if c.cfg.StaticPrune && (steps[i] >= steps[0] || sats[i] >= sats[0]) {
+			t.Errorf("%s: effort %d steps / %d sat checks, want strictly below off (%d / %d)",
+				c.name, steps[i], sats[i], steps[0], sats[0])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,64 +26,98 @@ func scanFamilyKeys(family string) map[string]bool {
 
 func scanKey(idx int) string { return fmt.Sprintf("corpus/%02d", idx) }
 
-// TestScanEndToEndConfirmed drives the full batch flow for corpus row 1: the
-// scan indexes all 17 corpus targets, retrieval must stay within the jpegc
-// family, and verification must confirm the true pair with a reformed PoC.
+// TestScanEndToEndConfirmed drives the full batch flow for every corpus
+// CVE: each scan indexes all 17 corpus targets, retrieval must stay within
+// the source's clone family and surface the true pair, and verification
+// must agree with Table II on the true pair and never confirm a candidate
+// whose own row is not triggerable. The retrieval totals are the ones
+// EXPERIMENTS quotes: macro precision and recall 1.0, MRR 40/51.
 func TestScanEndToEndConfirmed(t *testing.T) {
 	svc := service.New(service.Config{Workers: 2})
 	defer svc.Shutdown(context.Background())
 
-	sc, err := svc.StartScan(&service.ScanRequest{
-		CorpusIdx:     1,
-		CorpusTargets: true,
-	})
-	if err != nil {
-		t.Fatalf("StartScan: %v", err)
-	}
-	if err := sc.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	st := sc.Snapshot()
-	if st.State != "done" {
-		t.Fatalf("scan state = %q, want done", st.State)
-	}
-	if st.Index.Targets != 17 {
-		t.Errorf("indexed %d targets, want 17", st.Index.Targets)
-	}
-	truth := corpus.CloneTruthByIdx(1)
-	family := scanFamilyKeys(truth.Family)
-	var diagonal *service.ScanCandidate
-	for i := range st.Candidates {
-		c := &st.Candidates[i]
-		if !family[c.Target] {
-			t.Errorf("cross-family candidate %s (score %.3f)", c.Target, c.Score)
+	rows := corpus.CloneTruth()
+	var sumP, sumR, sumRR float64
+	for _, truth := range rows {
+		sc, err := svc.StartScan(&service.ScanRequest{
+			CorpusIdx:     truth.Idx,
+			CorpusTargets: true,
+		})
+		if err != nil {
+			t.Fatalf("row %d: StartScan: %v", truth.Idx, err)
 		}
-		if c.Error != "" {
-			t.Errorf("candidate %s: %s", c.Target, c.Error)
+		if err := sc.Wait(context.Background()); err != nil {
+			t.Fatalf("row %d: %v", truth.Idx, err)
 		}
-		if c.Target == scanKey(1) {
-			diagonal = c
+		st := sc.Snapshot()
+		if st.State != "done" {
+			t.Fatalf("row %d: scan state = %q, want done", truth.Idx, st.State)
 		}
+		if st.Index.Targets != 17 {
+			t.Errorf("row %d: indexed %d targets, want 17", truth.Idx, st.Index.Targets)
+		}
+		family := scanFamilyKeys(truth.Family)
+		var diagonal *service.ScanCandidate
+		inFamily, rank := 0, 0
+		for i := range st.Candidates {
+			c := &st.Candidates[i]
+			if family[c.Target] {
+				inFamily++
+			} else {
+				t.Errorf("row %d: cross-family candidate %s (score %.3f)", truth.Idx, c.Target, c.Score)
+			}
+			if c.Error != "" {
+				t.Errorf("row %d: candidate %s: %s", truth.Idx, c.Target, c.Error)
+			}
+			if c.Target == scanKey(truth.Idx) {
+				diagonal, rank = c, i+1
+			}
+			var target int
+			if _, err := fmt.Sscanf(c.Target, "corpus/%d", &target); err != nil {
+				t.Fatalf("row %d: candidate key %q: %v", truth.Idx, c.Target, err)
+			}
+			if c.Confirmed && !corpus.CloneTruthByIdx(target).ExpectTriggered {
+				t.Errorf("row %d: candidate %s falsely confirmed triggerable: %+v", truth.Idx, c.Target, c)
+			}
+		}
+		if diagonal == nil {
+			t.Errorf("row %d: true pair %s not retrieved; candidates: %+v", truth.Idx, scanKey(truth.Idx), st.Candidates)
+			continue
+		}
+		if diagonal.Confirmed != truth.ExpectTriggered {
+			t.Errorf("row %d: true pair confirmed = %v, Table II says %v: %+v",
+				truth.Idx, diagonal.Confirmed, truth.ExpectTriggered, diagonal)
+		}
+		if truth.ExpectTriggered && diagonal.Verdict != "triggered" {
+			t.Errorf("row %d: true pair verdict = %q, want triggered", truth.Idx, diagonal.Verdict)
+		}
+		if diagonal.JobID == "" {
+			t.Errorf("row %d: diagonal candidate has no verification job", truth.Idx)
+		}
+		sumP += float64(inFamily) / float64(len(st.Candidates))
+		sumR += float64(inFamily) / float64(len(family))
+		sumRR += 1 / float64(rank)
 	}
-	if diagonal == nil {
-		t.Fatalf("true pair %s not retrieved; candidates: %+v", scanKey(1), st.Candidates)
+	n := float64(len(rows))
+	if p := sumP / n; p != 1 {
+		t.Errorf("mean precision = %.3f, want 1", p)
 	}
-	if !diagonal.Confirmed || diagonal.Verdict != "triggered" {
-		t.Errorf("true pair not confirmed: %+v", diagonal)
+	if r := sumR / n; r != 1 {
+		t.Errorf("mean recall = %.3f, want 1", r)
 	}
-	if diagonal.JobID == "" {
-		t.Error("diagonal candidate has no verification job")
-	}
-	if st.Confirmed < 1 {
-		t.Errorf("scan confirmed %d candidates, want >= 1", st.Confirmed)
+	if mrr := sumRR / n; math.Abs(mrr-40.0/51) > 1e-9 {
+		t.Errorf("MRR = %.4f, want 40/51 = %.4f", mrr, 40.0/51)
 	}
 
-	// The scan surfaces through the listing APIs.
-	if scans := svc.Scans(); len(scans) != 1 || scans[0].ID != sc.ID() {
-		t.Errorf("Scans() = %+v", scans)
+	// The scans surface through the listing APIs.
+	scans := svc.Scans()
+	if len(scans) != len(rows) {
+		t.Fatalf("Scans() lists %d scans, want %d", len(scans), len(rows))
 	}
-	if _, ok := svc.ScanByID(sc.ID()); !ok {
-		t.Error("ScanByID lost the scan")
+	for _, sc := range scans {
+		if _, ok := svc.ScanByID(sc.ID); !ok {
+			t.Errorf("ScanByID lost scan %s", sc.ID)
+		}
 	}
 }
 

@@ -125,16 +125,6 @@ type Service struct {
 	nextBatchID uint64
 	closed      bool
 	running     int
-	ctr         counters
-}
-
-// counters aggregates lifecycle accounting; guarded by Service.mu.
-type counters struct {
-	submitted uint64
-	rejected  uint64
-	completed uint64
-	failed    uint64
-	cancelled uint64
 }
 
 // phaseNames are the phases whose latency the service reports, in the
@@ -280,7 +270,6 @@ func (s *Service) admitLocked() error {
 
 // rejectLocked accounts n rejected submissions.
 func (s *Service) rejectLocked(n int) {
-	s.ctr.rejected += uint64(n)
 	s.met.rejected.Add(uint64(n))
 }
 
@@ -332,7 +321,6 @@ func (s *Service) newJobLocked(pair *core.Pair) (*Job, error) {
 		cancel()
 		return nil, ErrQueueFull
 	}
-	s.ctr.submitted++
 	s.met.submitted.Inc()
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)
@@ -509,17 +497,21 @@ func (s *Service) finishJob(j *Job, rep *core.Report, err error) {
 	// concurrent readers always see one of the two forms.
 	s.persistJournal(j, rec)
 
+	// Counted under s.mu, like submitted and rejected, so a Stats snapshot
+	// reads all five lifecycle counters at one point in time.
 	s.mu.Lock()
 	switch state {
 	case JobDone:
-		s.ctr.completed++
+		s.met.completed.Inc()
 	case JobCancelled:
-		s.ctr.cancelled++
+		s.met.cancelled.Inc()
 	default:
-		s.ctr.failed++
+		s.met.failed.Inc()
 	}
 	s.mu.Unlock()
-	s.met.observeFinish(state, rep)
+	if state == JobDone {
+		s.met.observeDone(rep)
+	}
 
 	switch state {
 	case JobDone:

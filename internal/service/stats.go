@@ -60,11 +60,11 @@ func (s *Service) Stats() Stats {
 		QueueDepth:   len(s.queue),
 		QueueCap:     cap(s.queue),
 		Running:      s.running,
-		Submitted:    s.ctr.submitted,
-		Rejected:     s.ctr.rejected,
-		Completed:    s.ctr.completed,
-		Failed:       s.ctr.failed,
-		Cancelled:    s.ctr.cancelled,
+		Submitted:    s.met.submitted.Value(),
+		Rejected:     s.met.rejected.Value(),
+		Completed:    s.met.completed.Value(),
+		Failed:       s.met.failed.Value(),
+		Cancelled:    s.met.cancelled.Value(),
 		PhaseLatency: make(map[string]PhaseLatency, len(phaseNames)),
 	}
 	for i, name := range phaseNames {

@@ -158,21 +158,14 @@ func registerStoreMetrics(reg *telemetry.Registry, stores *Stores) {
 	})
 }
 
-// observeFinish records terminal-state accounting for one job. Called
-// without Service.mu held; every instrument is internally synchronized.
-func (m *serviceMetrics) observeFinish(state JobState, rep *core.Report) {
-	switch state {
-	case JobDone:
-		m.completed.Inc()
-		t := rep.Timings
-		for i, d := range [4]float64{t.P1.Seconds(), t.P2Prep.Seconds(), t.Reform.Seconds(), t.P4.Seconds()} {
-			m.phase[i].Observe(d)
-		}
-		m.verdicts[rep.Verdict].Inc()
-		m.types[rep.Type].Inc()
-	case JobCancelled:
-		m.cancelled.Inc()
-	default:
-		m.failed.Inc()
+// observeDone records the phase latency, verdict and result type of one
+// completed job. Called without Service.mu held; every instrument is
+// internally synchronized.
+func (m *serviceMetrics) observeDone(rep *core.Report) {
+	t := rep.Timings
+	for i, d := range [4]float64{t.P1.Seconds(), t.P2Prep.Seconds(), t.Reform.Seconds(), t.P4.Seconds()} {
+		m.phase[i].Observe(d)
 	}
+	m.verdicts[rep.Verdict].Inc()
+	m.types[rep.Type].Inc()
 }
