@@ -105,9 +105,12 @@ func TestTableIVShape(t *testing.T) {
 	}
 }
 
-// TestTableVShape asserts the tool comparison: OCTOPOCS verifies all three
-// pairs; the fuzzers cannot verify the two deep-magic pairs within budget;
-// AFLGo reports a tool error on the indirect-dispatch MuPDF binary.
+// TestTableVShape asserts the tool comparison as the paper states it:
+// which tool verifies which pair. OCTOPOCS verifies all three; the fuzzers
+// cannot verify the two deep-magic pairs within budget; AFLGo reports a
+// tool error on the indirect-dispatch MuPDF binary; AFLFast verifies
+// gif2png. The paper makes no wall-clock claim for that row (its OCTOPOCS
+// and AFLFast times there are 558 s and 201 s), so none is asserted.
 func TestTableVShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing campaigns are slow")
@@ -119,28 +122,27 @@ func TestTableVShape(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
+	// One cell deviates from the paper, as EXPERIMENTS.md records: our
+	// AFLGo shares AFLFast's mutation engine and verifies gif2png, which
+	// the paper's AFLGo did not within 20 h.
+	want := []struct {
+		aflfast, aflgo, aflgoErr bool
+	}{
+		{false, false, false}, // opj_dump: deep magic
+		{false, false, true},  // MuPDF: deep magic, static CFG blind to dispatch
+		{true, true, false},   // gif2png: a one-byte fix from the PoC
+	}
 	for i, r := range rows {
 		if !r.Octo.Verified {
 			t.Errorf("row %d (%s): OCTOPOCS failed to verify", i, r.T)
 		}
-	}
-	// opj_dump and MuPDF: deep magic, fuzzers fail.
-	for _, i := range []int{0, 1} {
-		if rows[i].AFLFast.Verified {
-			t.Errorf("%s: AFLFast verified unexpectedly", rows[i].T)
+		if r.AFLFast.Verified != want[i].aflfast {
+			t.Errorf("row %d (%s): AFLFast verified = %v, want %v", i, r.T, r.AFLFast.Verified, want[i].aflfast)
 		}
-	}
-	if rows[1].AFLGo.Err == "" {
-		t.Errorf("MuPDF: AFLGo should report a tool error, got %+v", rows[1].AFLGo)
-	}
-	// gif2png: AFLFast gets there (the paper's 201 s row).
-	if !rows[2].AFLFast.Verified {
-		t.Errorf("gif2png: AFLFast should verify within budget")
-	}
-	// OCTOPOCS is far faster than any successful fuzzing campaign.
-	if rows[2].AFLFast.Verified && rows[2].Octo.Elapsed*10 > rows[2].AFLFast.Elapsed {
-		t.Errorf("OCTOPOCS (%v) not clearly faster than AFLFast (%v)",
-			rows[2].Octo.Elapsed, rows[2].AFLFast.Elapsed)
+		if r.AFLGo.Verified != want[i].aflgo || (r.AFLGo.Err != "") != want[i].aflgoErr {
+			t.Errorf("row %d (%s): AFLGo = %+v, want verified %v, tool error %v",
+				i, r.T, r.AFLGo, want[i].aflgo, want[i].aflgoErr)
+		}
 	}
 	out := eval.FormatTableV(rows)
 	if !strings.Contains(out, "Error") || !strings.Contains(out, "N/A") {

@@ -13,6 +13,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -107,18 +108,50 @@ type seedInfo struct {
 	dist float64
 }
 
-// harness drives executions with coverage instrumentation.
+// harness drives executions with coverage instrumentation. It owns the
+// per-exec scratch state, so one exec allocates nothing beyond the VM run.
 type harness struct {
 	target *Target
 	// virgin is the global coverage map of hit-count buckets seen.
 	virgin [MapSize]uint8
+	// hits is the current exec's edge hit-count map. Only the entries
+	// listed in touched are nonzero, and the fold re-zeroes exactly those.
+	hits    [MapSize]uint32
+	touched []uint32
+	// prev is the previous block's shifted id (AFL's edge hashing).
+	prev uint32
+	// blocks is the current exec's set of distinct (func, block) pairs
+	// for AFLGo distance computation; nil unless the campaign is directed.
+	blocks map[blockKey]bool
+	hooks  vm.Hooks
 	// pathFreq counts executions per path signature (AFLFast f(i)).
 	pathFreq map[uint64]int64
 	execs    int64
 }
 
-func newHarness(t *Target) *harness {
-	return &harness{target: t, pathFreq: make(map[uint64]int64)}
+// newHarness builds a harness for t; wantBlocks makes every exec record
+// the blocks it ran (directed campaigns).
+func newHarness(t *Target, wantBlocks bool) *harness {
+	h := &harness{target: t, pathFreq: make(map[uint64]int64)}
+	if wantBlocks {
+		h.blocks = make(map[blockKey]bool)
+	}
+	h.hooks.OnBlock = h.onBlock
+	return h
+}
+
+// onBlock counts the edge into block b of fn.
+func (h *harness) onBlock(fn string, b int) {
+	cur := blockID(fn, b)
+	i := (h.prev ^ cur) & (MapSize - 1)
+	if h.hits[i] == 0 {
+		h.touched = append(h.touched, i)
+	}
+	h.hits[i]++
+	h.prev = cur >> 1
+	if h.blocks != nil {
+		h.blocks[blockKey{fn, b}] = true
+	}
 }
 
 // bucket classifies a hit count the way AFL does.
@@ -151,9 +184,6 @@ type execResult struct {
 	pathID  uint64
 	crashed bool
 	loc     isa.Loc
-	// blocks lists distinct (func, block) pairs executed, for AFLGo
-	// distance computation.
-	blocks map[blockKey]bool
 }
 
 type blockKey struct {
@@ -162,53 +192,50 @@ type blockKey struct {
 }
 
 // run executes one input and folds its coverage into the global state.
-func (h *harness) run(input []byte, wantBlocks bool) *execResult {
+func (h *harness) run(input []byte) execResult {
 	h.execs++
-	var local [MapSize]uint32
-	prev := uint32(0)
-	res := &execResult{}
-	if wantBlocks {
-		res.blocks = make(map[blockKey]bool)
-	}
-	hooks := &vm.Hooks{
-		OnBlock: func(fn string, b int) {
-			cur := blockID(fn, b)
-			local[(prev^cur)&(MapSize-1)]++
-			prev = cur >> 1
-			if wantBlocks {
-				res.blocks[blockKey{fn, b}] = true
-			}
-		},
-	}
-	m := vm.New(h.target.Prog, vm.Config{
+	clear(h.blocks)
+	out := vm.New(h.target.Prog, vm.Config{
 		Input:    input,
 		MaxSteps: h.target.MaxSteps,
-		Hooks:    hooks,
-	})
-	out := m.Run()
+		Hooks:    &h.hooks,
+	}).Run()
 
-	// Fold buckets; detect new coverage and compute the path signature.
-	var pathHash uint64 = 1469598103934665603 // FNV offset basis
-	for i, n := range local {
-		if n == 0 {
-			continue
-		}
-		b := bucket(n)
-		pathHash ^= uint64(i)*31 + uint64(b)
-		pathHash *= 1099511628211
-		if h.virgin[i]&b != b {
-			h.virgin[i] |= b
-			res.newCov = true
-		}
-	}
-	res.pathID = pathHash
-	h.pathFreq[pathHash]++
-
+	var res execResult
+	res.pathID, res.newCov = h.fold()
+	h.pathFreq[res.pathID]++
 	if out.Crashed() && out.CrashedIn(h.target.Lib) {
 		res.crashed = true
 		res.loc = out.Crash.Loc
 	}
 	return res
+}
+
+// fold ends an exec: it merges the hit counts into virgin, reporting the
+// path signature and whether any bucket was new, and resets the per-exec
+// edge state. Touched entries are visited in ascending index order, as a
+// walk over the whole map would, so the signature does not depend on the
+// order edges were first hit.
+func (h *harness) fold() (pathID uint64, newCov bool) {
+	slices.Sort(h.touched)
+	var pathHash uint64 = 1469598103934665603 // FNV offset basis
+	for _, i := range h.touched {
+		n := h.hits[i]
+		if n == 0 {
+			continue
+		}
+		h.hits[i] = 0
+		b := bucket(n)
+		pathHash ^= uint64(i)*31 + uint64(b)
+		pathHash *= 1099511628211
+		if h.virgin[i]&b != b {
+			h.virgin[i] |= b
+			newCov = true
+		}
+	}
+	h.touched = h.touched[:0]
+	h.prev = 0
+	return pathHash, newCov
 }
 
 // blockID hashes a block identity into a stable 32-bit id.
@@ -230,20 +257,20 @@ func campaign(t *Target, cfg Config, rng *rand.Rand,
 	stop func() bool,
 ) *Result {
 	cfg.defaults()
-	h := newHarness(t)
+	h := newHarness(t, seedDist != nil)
 	var queue []*seedInfo
 
-	admit := func(data []byte, er *execResult) {
+	admit := func(data []byte, er execResult) {
 		info := &seedInfo{data: append([]byte(nil), data...), pathID: er.pathID}
 		if seedDist != nil {
-			info.dist = seedDist(er.blocks)
+			info.dist = seedDist(h.blocks)
 		}
 		queue = append(queue, info)
 	}
 
 	// Dry-run the seeds.
 	for _, s := range cfg.Seeds {
-		er := h.run(s, seedDist != nil)
+		er := h.run(s)
 		if er.crashed {
 			return &Result{Found: true, Crash: s, Execs: h.execs, QueueLen: len(queue), CrashLoc: er.loc}
 		}
@@ -270,7 +297,7 @@ func campaign(t *Target, cfg Config, rng *rand.Rand,
 					other := queue[rng.Intn(len(queue))].data
 					cand = mut.havoc(s.data, other)
 				}
-				er := h.run(cand, seedDist != nil)
+				er := h.run(cand)
 				if er.crashed {
 					return &Result{Found: true, Crash: cand, Execs: h.execs, QueueLen: len(queue), CrashLoc: er.loc}
 				}

@@ -2,6 +2,7 @@ package fuzz_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"octopocs/internal/asm"
@@ -155,5 +156,29 @@ func TestTableVDeepMagicNotFindable(t *testing.T) {
 	})
 	if res.Found {
 		t.Fatalf("AFLFast unexpectedly verified opj_dump after %d execs", res.Execs)
+	}
+}
+
+// TestExecAllocBound guards the per-exec heap cost of a campaign: the
+// harness reuses its coverage map, hooks and block set, so an exec should
+// allocate about what one VM run does (a few KB). A per-exec coverage map
+// alone would cost 256 KB.
+func TestExecAllocBound(t *testing.T) {
+	const execs, bound = 2_000, 32 << 10
+	spec := corpus.ByIdx(9)
+	target := &fuzz.Target{Prog: spec.Pair.T, Lib: spec.Pair.Lib, MaxSteps: 100_000}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := fuzz.RunAFLFast(target, fuzz.Config{
+		Seeds: [][]byte{spec.Pair.PoC}, MaxExecs: execs, Seed: 1, Shards: 1,
+	})
+	runtime.ReadMemStats(&after)
+	if res.Execs == 0 {
+		t.Fatal("campaign ran no execs")
+	}
+	perExec := (after.TotalAlloc - before.TotalAlloc) / uint64(res.Execs)
+	t.Logf("%d execs, %d B allocated per exec", res.Execs, perExec)
+	if perExec >= bound {
+		t.Errorf("campaign allocates %d B per exec, want < %d", perExec, bound)
 	}
 }

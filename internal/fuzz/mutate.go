@@ -15,10 +15,13 @@ type mutator struct {
 	rng    *rand.Rand
 	maxLen int
 	frozen []Span
+	// pos caches allowed(posLen); posLen is -1 until the first call.
+	pos    []int
+	posLen int
 }
 
 func newMutator(rng *rand.Rand, maxLen int, frozen []Span) *mutator {
-	return &mutator{rng: rng, maxLen: maxLen, frozen: frozen}
+	return &mutator{rng: rng, maxLen: maxLen, frozen: frozen, posLen: -1}
 }
 
 // isFrozen reports whether byte position p lies inside a frozen span.
@@ -32,15 +35,19 @@ func (m *mutator) isFrozen(p int) bool {
 }
 
 // allowed lists the mutable byte positions of an n-byte input: every
-// position when no mask is set, the unfrozen ones otherwise.
+// position when no mask is set, the unfrozen ones otherwise. The list is
+// computed once per input length and shared; callers must not modify it.
 func (m *mutator) allowed(n int) []int {
-	out := make([]int, 0, n)
-	for p := 0; p < n; p++ {
-		if !m.isFrozen(p) {
-			out = append(out, p)
+	if n != m.posLen {
+		m.pos = m.pos[:0]
+		for p := 0; p < n; p++ {
+			if !m.isFrozen(p) {
+				m.pos = append(m.pos, p)
+			}
 		}
+		m.posLen = n
 	}
-	return out
+	return m.pos
 }
 
 // restoreFrozen copies the frozen spans of the seed back into the mutant.

@@ -24,7 +24,7 @@ func TestBucketClassification(t *testing.T) {
 }
 
 func TestAFLFastEnergyShape(t *testing.T) {
-	h := newHarness(&Target{})
+	h := newHarness(&Target{}, false)
 	s := &seedInfo{pathID: 1}
 
 	// Energy grows exponentially with how often the seed was picked.
@@ -62,7 +62,7 @@ func TestAFLFastEnergyShape(t *testing.T) {
 }
 
 func TestAFLGoEnergyAnnealing(t *testing.T) {
-	h := newHarness(&Target{})
+	h := newHarness(&Target{}, false)
 	h.pathFreq[1] = 4
 	near := &seedInfo{pathID: 1, fuzzed: 3, dist: 1}
 	far := &seedInfo{pathID: 1, fuzzed: 3, dist: 100000}
