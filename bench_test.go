@@ -175,6 +175,24 @@ func BenchmarkNaiveSEOpjDump(b *testing.B) {
 	}
 }
 
+// BenchmarkDiscover measures dynamic-CFG discovery (the P2 preparation
+// pass) on rows 19 and 20, the corpus's most solver-bound discoveries,
+// each op with a fresh solver cache as a cold pipeline has.
+func BenchmarkDiscover(b *testing.B) {
+	pairs := []*core.Pair{corpus.ByIdx(19).Pair, corpus.ByIdx(20).Pair}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cache := solver.NewCache(0)
+		for _, pair := range pairs {
+			if _, err := symex.Discover(pair.T, symex.NaiveConfig{
+				InputSize: len(pair.PoC) + 64, MaxSteps: pair.MaxSteps, SolverCache: cache,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkSolver measures constraint solving on a representative guiding
 // input system: magic bytes, a word equality, a range, and a sum relation.
 func BenchmarkSolver(b *testing.B) {

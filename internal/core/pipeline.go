@@ -827,7 +827,7 @@ func (p *Pipeline) reform(ctx context.Context, pair *Pair, ep string, dist *cfg.
 	// P3.3: solve everything into concrete bytes.
 	ssp := tr.Start("solve", parent)
 	ssp.SetAttr("constraints", len(res.Constraints))
-	sol := solver.Solver{Budget: p.cfg.SatBudget, Metrics: p.cfg.Metrics.solverSink(), Faults: p.cfg.Faults, Journal: rec}
+	sol := solver.Solver{Budget: p.cfg.SatBudget, Metrics: p.cfg.Metrics.solverSink(), Cache: p.satCache, Faults: p.cfg.Faults, Journal: rec}
 	model, err := sol.Solve(res.Constraints)
 	ssp.End()
 	if err != nil {

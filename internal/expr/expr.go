@@ -155,10 +155,10 @@ func isCommutative(op Op) bool {
 	return false
 }
 
-// apply computes a binary operation on concrete values. div/mod by zero
-// yields (0, false); the executor turns that into a crash before ever
-// building the expression.
-func apply(op Op, a, b uint64) (uint64, bool) {
+// Apply computes a binary operation on concrete values, exactly as Eval
+// does at each node. div/mod by zero yields (0, false); the executor turns
+// that into a crash before ever building the expression.
+func Apply(op Op, a, b uint64) (uint64, bool) {
 	switch op {
 	case OpAdd:
 		return a + b, true
@@ -285,7 +285,7 @@ func Bin(op Op, x, y *Expr) *Expr {
 	xv, xc := x.IsConst()
 	yv, yc := y.IsConst()
 	if xc && yc {
-		if v, ok := apply(op, xv, yv); ok {
+		if v, ok := Apply(op, xv, yv); ok {
 			return Const(v)
 		}
 	}
@@ -326,7 +326,7 @@ func Bin(op Op, x, y *Expr) *Expr {
 		// Re-associate constants: (x op c1) op c2 → x op (c1∘c2).
 		if x.Op == op && (op == OpAdd || op == OpAnd || op == OpOr || op == OpXor || op == OpMul) {
 			if c1, ok := x.Y.IsConst(); ok {
-				if v, ok := apply(op, c1, yv); ok {
+				if v, ok := Apply(op, c1, yv); ok {
 					return Bin(op, x.X, Const(v))
 				}
 			}
@@ -513,7 +513,7 @@ func (e *Expr) Eval(lookup func(sym int) (uint64, bool)) (uint64, bool) {
 		if !ok {
 			return 0, false
 		}
-		return apply(e.Op, x, y)
+		return Apply(e.Op, x, y)
 	}
 }
 

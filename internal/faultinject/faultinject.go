@@ -49,8 +49,11 @@ const (
 	// SolverTimeout makes Solver.Solve return a transient fault, modelling
 	// a solver timeout mid-phase.
 	SolverTimeout Point = "solver.timeout"
-	// SolverCache disables the sat-verdict cache for one Sat call: the
-	// degraded path solves uncached, which cannot change the verdict.
+	// SolverCache disables the sat-verdict cache and the filter memo for
+	// one Sat call: the degraded path solves uncached, which cannot change
+	// the verdict. Every Sat call made with a Cache attached draws from
+	// the schedule, P2 discovery's included, so nth/count/rate ordinals
+	// count discovery's checks before those of later phases.
 	SolverCache Point = "solver.cache"
 
 	// SymexWorkerPanic panics inside a frontier explorer goroutine at a

@@ -96,50 +96,35 @@ func (s CacheStats) HitRate() float64 {
 // canonical constraint-set identities (see CacheKey), values the definite
 // verdicts: only sat/unsat results are stored, never budget exhaustion, so
 // a cached answer always equals what a fresh solve within budget would
-// return. The structure is a sharded LRU — each shard a mutex-guarded
-// list.List plus index map, the same shape as the service's phase-artifact
-// cache, split sixteen ways because Sat checks are issued from every
-// frontier worker on the branch-decision hot path.
+// return. Beside the verdicts, and bounded by the same capacity, it holds
+// the filter-outcome memo of every solve run with it attached (memo.go),
+// which only saves work and never changes an outcome. Both are sharded
+// LRUs — each shard a mutex-guarded list.List plus index map, the same
+// shape as the service's phase-artifact cache, split sixteen ways because
+// Sat checks are issued from every frontier worker on the branch-decision
+// hot path.
 //
 // Concurrency: safe for unrestricted concurrent use; a nil *Cache is a
 // valid no-op (every lookup misses, stores are dropped).
 type Cache struct {
-	shards [cacheShards]cacheShard
+	sat    lru[CacheKey, bool]
+	filter lru[uint64, *filterOutcome]
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-type cacheShard struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	items map[CacheKey]*list.Element
-}
-
-type cacheEntry struct {
-	key CacheKey
-	sat bool
-}
-
 // NewCache returns a cache holding at most entries verdicts in total
-// (DefaultCacheEntries when entries <= 0), spread across the shards.
+// (DefaultCacheEntries when entries <= 0), spread across the shards, and
+// at most as many filter outcomes.
 func NewCache(entries int) *Cache {
 	if entries <= 0 {
 		entries = DefaultCacheEntries
 	}
 	per := (entries + cacheShards - 1) / cacheShards
-	if per < 1 {
-		per = 1
-	}
 	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{max: per, ll: list.New(), items: make(map[CacheKey]*list.Element)}
-	}
+	c.sat.init(per)
+	c.filter.init(per)
 	return c
-}
-
-func (c *Cache) shard(key CacheKey) *cacheShard {
-	return &c.shards[key[0]%cacheShards]
 }
 
 // Lookup returns the cached verdict for key, if present.
@@ -147,14 +132,7 @@ func (c *Cache) Lookup(key CacheKey) (sat, ok bool) {
 	if c == nil {
 		return false, false
 	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	el, ok := sh.items[key]
-	if ok {
-		sh.ll.MoveToFront(el)
-		sat = el.Value.(*cacheEntry).sat
-	}
-	sh.mu.Unlock()
+	sat, ok = c.sat.get(key[0], key)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -169,33 +147,80 @@ func (c *Cache) Store(key CacheKey, sat bool) {
 	if c == nil {
 		return
 	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		el.Value.(*cacheEntry).sat = sat
-		sh.ll.MoveToFront(el)
-		return
-	}
-	sh.items[key] = sh.ll.PushFront(&cacheEntry{key: key, sat: sat})
-	if sh.ll.Len() > sh.max {
-		back := sh.ll.Back()
-		sh.ll.Remove(back)
-		delete(sh.items, back.Value.(*cacheEntry).key)
-	}
+	c.sat.put(key[0], key, sat)
 }
 
-// Stats snapshots the cache accounting.
+// Stats snapshots the verdict accounting.
 func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	entries := 0
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: c.sat.len()}
+}
+
+// lru is a sharded, mutex-guarded LRU map. The caller picks the shard by
+// a hash h of the key.
+type lru[K comparable, V any] struct {
+	shards [cacheShards]lruShard[K, V]
+}
+
+type lruShard[K comparable, V any] struct {
+	mu    sync.Mutex
+	max   int
+	ll    *list.List // front = most recently used
+	items map[K]*list.Element
+}
+
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// init sizes every shard to hold per entries.
+func (c *lru[K, V]) init(per int) {
+	for i := range c.shards {
+		c.shards[i] = lruShard[K, V]{max: per, ll: list.New(), items: make(map[K]*list.Element)}
+	}
+}
+
+func (c *lru[K, V]) get(h uint64, key K) (val V, ok bool) {
+	sh := &c.shards[h%cacheShards]
+	sh.mu.Lock()
+	el, ok := sh.items[key]
+	if ok {
+		sh.ll.MoveToFront(el)
+		val = el.Value.(*lruEntry[K, V]).val
+	}
+	sh.mu.Unlock()
+	return val, ok
+}
+
+// put records val under key, evicting the shard's least recently used
+// entry when full.
+func (c *lru[K, V]) put(h uint64, key K, val V) {
+	sh := &c.shards[h%cacheShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if el, ok := sh.items[key]; ok {
+		el.Value.(*lruEntry[K, V]).val = val
+		sh.ll.MoveToFront(el)
+		return
+	}
+	sh.items[key] = sh.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
+	if sh.ll.Len() > sh.max {
+		back := sh.ll.Back()
+		sh.ll.Remove(back)
+		delete(sh.items, back.Value.(*lruEntry[K, V]).key)
+	}
+}
+
+func (c *lru[K, V]) len() int {
+	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		entries += sh.ll.Len()
+		n += sh.ll.Len()
 		sh.mu.Unlock()
 	}
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: entries}
+	return n
 }

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"maps"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"octopocs/internal/expr"
@@ -149,6 +151,50 @@ func TestCacheLRUBounded(t *testing.T) {
 	if st.Entries > 48 {
 		t.Fatalf("cache exceeded capacity: %d entries", st.Entries)
 	}
+	if n := cache.filter.len(); n == 0 || n > 48 {
+		t.Fatalf("filter memo holds %d outcomes, want 1..48", n)
+	}
+}
+
+// TestCacheConcurrentReplay shares one Cache between goroutines solving
+// overlapping systems, as frontier workers do: every model and error must
+// match a solver without shortcuts. Run it under -race.
+func TestCacheConcurrentReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sets := make([][]*expr.Expr, 40)
+	for i := range sets {
+		sets[i] = randConstraintSet(rng)
+	}
+	type result struct {
+		m   Model
+		err error
+	}
+	want := make([]result, len(sets))
+	for i, cs := range sets {
+		ref := reference(0)
+		m, err := ref.Solve(cs)
+		want[i] = result{m, err}
+	}
+	cache := NewCache(64)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := Solver{Cache: cache}
+			for round := 0; round < 3; round++ {
+				for i := range sets {
+					i := (i + g*7) % len(sets)
+					m, err := s.Solve(sets[i])
+					if errClass(err) != errClass(want[i].err) || !maps.Equal(m, want[i].m) {
+						t.Errorf("set %d: Solve = %v, %v; reference %v, %v", i, m, err, want[i].m, want[i].err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestNilCache: a nil cache is a no-op sink, not a crash.

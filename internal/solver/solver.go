@@ -15,6 +15,21 @@
 // (cache.go), which is what makes repeated feasibility checks across
 // sibling frontier states and across service jobs cheap.
 //
+// Enumeration defines every outcome, including how many evaluations it
+// charges the budget. Two shortcuts reproduce it without evaluating value
+// by value. An interval pre-check (interval.go) bounds a constraint over
+// the box of its symbols' domains; when the bound proves it true or false
+// everywhere, the narrowed domains and the evaluation count enumeration
+// would reach are known in closed form. A filter-outcome memo (memo.go),
+// held in the Cache, replays a filtering pass whose exact input —
+// constraint, assigned values, unassigned domains — completed before.
+// Both charge their count through one helper that fails exactly when the
+// count exceeds what is left, which is exactly when enumeration would have
+// failed part-way; since ErrBudget aborts the whole solve from any point,
+// charging the total up front is indistinguishable. So every Solve and Sat
+// returns the same verdict, the same model and the same budget outcome
+// with or without the shortcuts, at every budget.
+//
 // Concurrency: a Solver value is stateless between calls — each Solve
 // builds private search state — so one Solver may be used from many
 // goroutines, and the attached Metrics (atomic counters) and Cache
@@ -72,9 +87,10 @@ type Solver struct {
 	// Metrics receives per-Solve outcome counters; may be nil.
 	Metrics *Metrics
 	// Cache, when non-nil, memoizes Sat verdicts by canonical constraint-set
-	// key. Solve is never cached — its callers need a model, and models are
-	// not canonical. Sharing one Cache between solvers (and between jobs) is
-	// safe and is the intended configuration.
+	// key. Solve's result is never cached — its callers need a model, and
+	// models are not canonical — but Solve and Sat both replay filter
+	// outcomes from it. Sharing one Cache between solvers (and between
+	// jobs) is safe and is the intended configuration.
 	Cache *Cache
 	// Faults, when non-nil, injects scheduled solver faults: transient Sat
 	// and Solve failures and cache-bypass degradations. Nil in production.
@@ -82,6 +98,10 @@ type Solver struct {
 	// Journal, when non-nil and verbose, receives per-call SAT-memo and
 	// complement-short-circuit events. Nil (no-op) in production.
 	Journal *journal.Recorder
+
+	// noInterval switches off the interval pre-check, so tests can compare
+	// against plain enumeration; a nil Cache already switches off the memo.
+	noInterval bool
 }
 
 // domain is a 256-bit set of candidate byte values.
@@ -105,6 +125,15 @@ func (d *domain) first() (byte, bool) {
 		}
 	}
 	return 0, false
+}
+
+// last returns the largest value in a non-empty domain.
+func (d *domain) last() byte {
+	w := 3
+	for w > 0 && d[w] == 0 {
+		w--
+	}
+	return byte(w*64 + 63 - bits.LeadingZeros64(d[w]))
 }
 
 // values iterates the domain in ascending order.
@@ -138,6 +167,11 @@ type state struct {
 	// watch[i] lists constraint indices mentioning symbol index i.
 	watch  [][]int
 	budget int64
+	// memo, when non-nil, replays filter outcomes (memo.go); sig is
+	// memoKey's scratch signature.
+	memo       *Cache
+	sig        []uint64
+	noInterval bool
 }
 
 // assign sets symbol index si to v, updating both views.
@@ -158,19 +192,26 @@ func (st *state) unassign(si int) {
 // Solve returns a model satisfying every constraint (each must evaluate to
 // a non-zero value), ErrUnsat, or ErrBudget.
 func (s *Solver) Solve(constraints []*expr.Expr) (Model, error) {
+	return s.solveWith(constraints, s.Cache)
+}
+
+// solveWith is Solve with the filter memo taken from memo.
+func (s *Solver) solveWith(constraints []*expr.Expr, memo *Cache) (Model, error) {
 	if err := s.Faults.Err(faultinject.SolverTimeout); err != nil {
 		s.Metrics.observe(err)
 		return nil, err
 	}
-	model, err := s.solve(constraints)
+	model, err := s.solve(constraints, memo)
 	s.Metrics.observe(err)
 	return model, err
 }
 
-func (s *Solver) solve(constraints []*expr.Expr) (Model, error) {
+func (s *Solver) solve(constraints []*expr.Expr, memo *Cache) (Model, error) {
 	st := &state{
-		symIdx: make(map[int]int),
-		budget: s.Budget,
+		symIdx:     make(map[int]int),
+		budget:     s.Budget,
+		noInterval: s.noInterval,
+		memo:       memo,
 	}
 	if st.budget <= 0 {
 		st.budget = DefaultBudget
@@ -280,12 +321,21 @@ func (st *state) unassignedIn(ci int) []int {
 	return out
 }
 
+// charge spends n evaluations of the budget at once. It fails exactly when
+// spending them one at a time would: when n exceeds what is left.
+func (st *state) charge(n int64) error {
+	st.budget -= n
+	if st.budget < 0 {
+		return ErrBudget
+	}
+	return nil
+}
+
 // checkConstraint evaluates constraint ci under the current assignment.
 // Returns (satisfied, decidable).
 func (st *state) checkConstraint(ci int) (bool, bool, error) {
-	st.budget--
-	if st.budget < 0 {
-		return false, false, ErrBudget
+	if err := st.charge(1); err != nil {
+		return false, false, err
 	}
 	v, ok := st.constraints[ci].Eval(st.lookup)
 	if !ok {
@@ -343,6 +393,11 @@ func (st *state) propagate(queue []int) error {
 // returns the narrowed symbol indices. Only constraints with at most two
 // unassigned symbols are enumerated; larger supports wait for the search to
 // assign more symbols. Fully assigned constraints act as checks.
+//
+// Enumeration is the reference. Two shortcuts stand in for it only where
+// they are exact, in narrowed domains and in evaluations charged: a
+// constraint that interval bounds decide over the whole box, and an input
+// the memo has seen completed before.
 func (st *state) filter(ci int) ([]int, error) {
 	un := st.unassignedIn(ci)
 	switch len(un) {
@@ -355,44 +410,82 @@ func (st *state) filter(ci int) ([]int, error) {
 			return nil, ErrUnsat
 		}
 		return nil, nil
-
-	case 1:
-		si := un[0]
-		var narrowed bool
-		var remove []byte
-		d := st.domains[si]
-		var iterErr error
-		d.values(func(v byte) bool {
-			st.assign(si, v)
-			sat, decidable, err := st.checkConstraint(ci)
-			st.unassign(si)
-			if err != nil {
-				iterErr = err
-				return false
-			}
-			if decidable && !sat {
-				remove = append(remove, v)
-				narrowed = true
-			}
-			return true
-		})
-		if iterErr != nil {
-			return nil, iterErr
-		}
-		for _, v := range remove {
-			st.domains[si].remove(v)
-		}
-		if narrowed {
-			return []int{si}, nil
-		}
-		return nil, nil
-
-	case 2:
-		return st.filterPair(ci, un[0], un[1])
-
+	case 1, 2:
 	default:
 		return nil, nil
 	}
+	// A pair whose cross product outgrows the remaining budget waits for
+	// the search to assign one side.
+	if len(un) == 2 && int64(st.domains[un[0]].count())*int64(st.domains[un[1]].count()) > st.budget {
+		return nil, nil
+	}
+	if o, ok := st.decided(ci, un); ok {
+		return st.replay(un, o)
+	}
+	var h uint64
+	if st.memo != nil {
+		h = st.memoKey(ci)
+		if o, ok := st.memo.recall(h, st.sig); ok {
+			return st.replay(un, o)
+		}
+	}
+	before := st.budget
+	var narrowed []int
+	var err error
+	if len(un) == 1 {
+		narrowed, err = st.filterOne(ci, un[0])
+	} else {
+		narrowed, err = st.filterPair(ci, un[0], un[1])
+	}
+	if err == nil && st.memo != nil {
+		o := outcome{evals: before - st.budget}
+		for i, si := range un {
+			o.doms[i] = st.domains[si]
+		}
+		st.memo.remember(h, st.sig, o)
+	}
+	return narrowed, err
+}
+
+// replay applies an outcome: it charges the evaluations enumeration spent
+// and installs the resulting domains, reporting the changed ones in
+// support order as enumeration does.
+func (st *state) replay(un []int, o outcome) ([]int, error) {
+	if err := st.charge(o.evals); err != nil {
+		return nil, err
+	}
+	var narrowed []int
+	for i, si := range un {
+		if st.domains[si] != o.doms[i] {
+			st.domains[si] = o.doms[i]
+			narrowed = append(narrowed, si)
+		}
+	}
+	return narrowed, nil
+}
+
+// filterOne removes the values of the lone unassigned symbol si under
+// which constraint ci is decidably false.
+func (st *state) filterOne(ci, si int) ([]int, error) {
+	d := st.domains[si]
+	var iterErr error
+	d.values(func(v byte) bool {
+		st.assign(si, v)
+		sat, decidable, err := st.checkConstraint(ci)
+		st.unassign(si)
+		if err != nil {
+			iterErr = err
+			return false
+		}
+		if decidable && !sat {
+			st.domains[si].remove(v)
+		}
+		return true
+	})
+	if iterErr != nil || st.domains[si] == d {
+		return nil, iterErr
+	}
+	return []int{si}, nil
 }
 
 // filterPair removes values of the two unassigned symbols that participate
@@ -401,9 +494,6 @@ func (st *state) filter(ci int) ([]int, error) {
 // constraints cost O(|domain|) while genuinely tight ones still get full
 // pruning.
 func (st *state) filterPair(ci, a, b int) ([]int, error) {
-	if int64(st.domains[a].count())*int64(st.domains[b].count()) > st.budget {
-		return nil, nil
-	}
 	supported := func(x, y int) (domain, error) {
 		var ok domain
 		var iterErr error
@@ -579,7 +669,7 @@ func (s *Solver) Sat(constraints []*expr.Expr) (bool, error) {
 			s.Journal.Emit(journal.EvSolverSatCache, journal.Attrs{"hit": false})
 		}
 	}
-	_, err := s.Solve(constraints)
+	_, err := s.solveWith(constraints, cache)
 	if err == nil {
 		cache.Store(key, true)
 		return true, nil

@@ -1,11 +1,15 @@
 package symex_test
 
 import (
+	"slices"
 	"testing"
 
 	"octopocs/internal/asm"
+	"octopocs/internal/corpus"
 	"octopocs/internal/isa"
+	"octopocs/internal/solver"
 	"octopocs/internal/symex"
+	"octopocs/internal/telemetry"
 )
 
 // dispatchProg dispatches through a table indexed directly by an input
@@ -106,5 +110,45 @@ func TestDiscoverHonorsBudgets(t *testing.T) {
 	}
 	if len(edges) != 0 {
 		t.Errorf("edges = %v with a one-state budget", edges)
+	}
+}
+
+// TestDiscoverUsesSolverCache checks that Discover threads
+// NaiveConfig.SolverCache into its feasibility checks, as the pipeline's
+// P2 preparation relies on, and that the cache changes only the work: on
+// rows 19 and 20 the discovered edges and the number of SAT checks are
+// the same with and without it.
+func TestDiscoverUsesSolverCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus discovery is not short")
+	}
+	for _, idx := range []int{19, 20} {
+		pair := corpus.ByIdx(idx).Pair
+		discover := func(cache *solver.Cache) ([]symex.IndirectEdge, uint64) {
+			m := &symex.Metrics{SatChecks: telemetry.NewRegistry().Counter("sat_checks", "", nil)}
+			edges, err := symex.Discover(pair.T, symex.NaiveConfig{
+				InputSize:   len(pair.PoC) + 64,
+				MaxSteps:    pair.MaxSteps,
+				Metrics:     m,
+				SolverCache: cache,
+			})
+			if err != nil {
+				t.Fatalf("row %d: Discover: %v", idx, err)
+			}
+			return edges, m.SatChecks.Value()
+		}
+		plainEdges, plainChecks := discover(nil)
+		cache := solver.NewCache(0)
+		edges, checks := discover(cache)
+		if st := cache.Stats(); st.Hits+st.Misses == 0 {
+			t.Errorf("row %d: Discover recorded no SAT lookups in its cache", idx)
+		}
+		if !slices.Equal(edges, plainEdges) || checks != plainChecks {
+			t.Errorf("row %d: with cache %v edges, %d SAT checks; without %v, %d",
+				idx, edges, checks, plainEdges, plainChecks)
+		}
+		if checks == 0 {
+			t.Errorf("row %d: Discover issued no SAT checks", idx)
+		}
 	}
 }

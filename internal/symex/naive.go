@@ -89,16 +89,17 @@ func runNaive(prog *isa.Program, cfg NaiveConfig, onResolve func(isa.Loc, string
 		cfg.MaxStates = 1 << 20
 	}
 	e := New(prog, Config{
-		InputSize: cfg.InputSize,
-		MaxSteps:  cfg.MaxSteps,
-		Theta:     cfg.Theta,
-		SatBudget: cfg.SatBudget,
-		Target:    cfg.Target,
-		Stop:      cfg.Stop,
-		Metrics:   cfg.Metrics,
-		Prune:     cfg.Prune,
-		Oracle:    cfg.Oracle,
-		Faults:    cfg.Faults,
+		InputSize:   cfg.InputSize,
+		MaxSteps:    cfg.MaxSteps,
+		Theta:       cfg.Theta,
+		SatBudget:   cfg.SatBudget,
+		Target:      cfg.Target,
+		Stop:        cfg.Stop,
+		Metrics:     cfg.Metrics,
+		SolverCache: cfg.SolverCache,
+		Prune:       cfg.Prune,
+		Oracle:      cfg.Oracle,
+		Faults:      cfg.Faults,
 	})
 	e.onResolve = onResolve
 	defer func() {

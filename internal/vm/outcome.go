@@ -13,7 +13,8 @@
 //
 // Concurrency: a VM instance (and any Hooks installed on it) is confined
 // to one goroutine for its whole run; programs and inputs are read-only, so
-// any number of VMs may execute the same Program concurrently.
+// any number of VMs may execute the same Program concurrently. The only
+// state VMs share is a sync.Pool of recycled call frames.
 package vm
 
 import (

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 
 	"octopocs/internal/isa"
 )
@@ -179,6 +180,14 @@ func (m *Machine) exit(code uint64) *Outcome {
 	return &Outcome{Status: StatusExit, ExitCode: code, Steps: m.steps, Output: m.output}
 }
 
+// framePool recycles activation records across calls and machines. A frame
+// carries the whole register file, about 1.8 KB, and a fuzzing campaign
+// starts a machine per exec, so a fresh frame per call was most of the
+// bytes a campaign allocated and most of the collections it caused. Run
+// and doRet hand a frame back only after its last use; pushFrame clears
+// it.
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
 // pushFrame activates fn with the given arguments and notifies OnCall.
 func (m *Machine) pushFrame(fn *isa.Function, args []uint64, retDst isa.Reg) {
 	var callerID uint64
@@ -188,7 +197,8 @@ func (m *Machine) pushFrame(fn *isa.Function, args []uint64, retDst isa.Reg) {
 		site = m.loc()
 	}
 	m.nextID++
-	fr := &frame{fn: fn, retDst: retDst, id: m.nextID}
+	fr := framePool.Get().(*frame)
+	*fr = frame{fn: fn, retDst: retDst, id: m.nextID}
 	copy(fr.regs[:], args)
 	m.frames = append(m.frames, fr)
 	if m.hooks.OnCall != nil {
@@ -205,6 +215,10 @@ func (m *Machine) pushFrame(fn *isa.Function, args []uint64, retDst isa.Reg) {
 // Run executes the program to completion.
 func (m *Machine) Run() *Outcome {
 	out := m.run()
+	for _, fr := range m.frames {
+		framePool.Put(fr)
+	}
+	m.frames = nil
 	m.metrics.observe(out)
 	return out
 }
@@ -363,9 +377,10 @@ func (m *Machine) doCall(fr *frame, callee *isa.Function, in *isa.Inst) {
 	m.pushFrame(callee, args, in.Dst)
 }
 
-// doRet pops the current frame. Returning from the entry function ends the
-// run with the return value as exit code.
+// doRet pops the current frame and recycles it. Returning from the entry
+// function ends the run with the return value as exit code.
 func (m *Machine) doRet(fr *frame, val uint64) *Outcome {
+	defer framePool.Put(fr)
 	m.frames = m.frames[:len(m.frames)-1]
 	if len(m.frames) == 0 {
 		if m.hooks.OnRet != nil {

@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"octopocs/internal/asm"
@@ -427,6 +428,60 @@ func TestControlFlowAndCalls(t *testing.T) {
 		}
 		wantExit(t, vm.New(prog, vm.Config{}).Run(), 42)
 	})
+}
+
+// TestFramesStartClean pins that an activation record recycled from a
+// returned call, or from a machine whose run crashed mid-call, enters its
+// function with every register beyond its arguments zero, also while
+// machines on several goroutines recycle frames at once.
+func TestFramesStartClean(t *testing.T) {
+	build := func(trap bool) *isa.Program {
+		b := asm.NewBuilder("t")
+		dirty := b.Function("dirty", 1)
+		v := dirty.MulI(dirty.AddI(dirty.MulI(dirty.Param(0), 3), 5), 7)
+		if trap {
+			dirty.Trap(1)
+		}
+		dirty.Ret(v)
+		clean := b.Function("clean", 1)
+		clean.Ret(clean.Param(0))
+		f := b.Function("main", 0)
+		d := f.Call("dirty", f.Const(2))
+		f.Ret(f.Add(d, f.Call("clean", f.Const(1))))
+		b.Entry("main")
+		prog, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	trapping, returning := build(true), build(false)
+	hooks := &vm.Hooks{OnBlockRegs: func(fn string, block int, regs []uint64) {
+		if fn != "clean" || block != 0 {
+			return
+		}
+		for i, r := range regs[1:] {
+			if r != 0 {
+				t.Errorf("clean entered with r%d = %d, want 0", i+1, r)
+			}
+		}
+	}}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if out := vm.New(trapping, vm.Config{}).Run(); out.Status != vm.StatusCrash {
+					t.Errorf("trapping run = %v, want a crash", out)
+				}
+				if out := vm.New(returning, vm.Config{Hooks: hooks}).Run(); out.Status != vm.StatusExit || out.ExitCode != 78 {
+					t.Errorf("returning run = %v, want exit(78)", out)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestHooks(t *testing.T) {
