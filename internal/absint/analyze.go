@@ -6,15 +6,9 @@ import (
 	"octopocs/internal/isa"
 )
 
-// DefaultWidenAfter is how many refining joins a block's entry state
-// absorbs before further refinements widen to force convergence.
-const DefaultWidenAfter = 4
-
-// Options parameterizes Analyze.
-type Options struct {
-	// WidenAfter overrides DefaultWidenAfter when positive.
-	WidenAfter int
-}
+// widenAfter is how many refining joins a block's entry state absorbs
+// before further refinements widen to force convergence.
+const widenAfter = 4
 
 // RegState is the abstract register file at one program point.
 type RegState [isa.NumRegs]Val
@@ -54,19 +48,11 @@ type Result struct {
 	Summary Summary
 }
 
-// Analyze runs the abstract interpretation over every function of prog
-// with default options.
-func Analyze(prog *isa.Program) *Result { return AnalyzeOpts(prog, Options{}) }
-
-// AnalyzeOpts runs the abstract interpretation with explicit options.
-func AnalyzeOpts(prog *isa.Program, opts Options) *Result {
-	widenAfter := opts.WidenAfter
-	if widenAfter <= 0 {
-		widenAfter = DefaultWidenAfter
-	}
+// Analyze runs the abstract interpretation over every function of prog.
+func Analyze(prog *isa.Program) *Result {
 	res := &Result{Prog: prog, Funcs: make(map[string]*FuncRanges, len(prog.Funcs))}
 	for _, f := range prog.Funcs {
-		fr := analyzeFunc(f, widenAfter)
+		fr := analyzeFunc(f)
 		res.Funcs[f.Name] = fr
 		res.Summary.Funcs++
 		res.Summary.Blocks += len(f.Blocks)
@@ -102,7 +88,7 @@ func entryState(f *isa.Function) *RegState {
 // function. Edges out of a branch whose condition the abstract state
 // decides flow only in the proven direction, which is what lets the
 // analysis prove blocks unreachable.
-func analyzeFunc(f *isa.Function, widenAfter int) *FuncRanges {
+func analyzeFunc(f *isa.Function) *FuncRanges {
 	n := len(f.Blocks)
 	fr := &FuncRanges{Fn: f, Entry: make([]*RegState, n), Branch: make([]int, n)}
 	for i := range fr.Branch {

@@ -95,9 +95,6 @@ type Options struct {
 	Codecs map[string]Codec
 	// Version overrides the key/format version; StoreVersion when 0.
 	Version int
-	// SaturationHold overrides how long a failed write keeps the store
-	// saturated; DefaultSaturationHold when 0.
-	SaturationHold time.Duration
 	// Faults is the optional deterministic fault injector (disk-full,
 	// torn-write, checksum-mismatch points). Nil never fires.
 	Faults *faultinject.Injector
@@ -113,7 +110,7 @@ type Counters struct {
 	DiskHits uint64 `json:"disk_hits"`
 	Misses   uint64 `json:"misses"`
 	// Writes counts successful disk persists; WriteErrors counts failed
-	// ones (each marks the store saturated for SaturationHold);
+	// ones (each marks the store saturated for DefaultSaturationHold);
 	// WriteSkips counts values larger than the whole disk budget.
 	Writes      uint64 `json:"writes"`
 	WriteErrors uint64 `json:"write_errors"`

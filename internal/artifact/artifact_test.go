@@ -338,6 +338,13 @@ func TestHotEvictionBounded(t *testing.T) {
 	if c.HotEntries != 2 || c.HotEvictions != 3 {
 		t.Fatalf("hot tier counters: %+v", c)
 	}
+
+	// Lookups on a store with no disk tier allocate nothing, hit or miss.
+	m := NewMemory(2)
+	m.Put("a", 1)
+	if a := testing.AllocsPerRun(100, func() { m.Get("a"); m.Get("b") }); a != 0 {
+		t.Errorf("memory-only hit and miss allocate %.1f times, want 0", a)
+	}
 }
 
 func TestOpenRejectsEmptyDir(t *testing.T) {
@@ -347,7 +354,7 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s := open(t, t.TempDir(), nil)
+	s := open(t, t.TempDir(), func(o *Options) { o.HotEntries = 8 })
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -363,5 +370,8 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+	if c := s.Counters(); c.HotEntries > 8 {
+		t.Errorf("hot tier holds %d entries, capacity 8", c.HotEntries)
 	}
 }

@@ -23,7 +23,6 @@ type Store struct {
 	version int
 	codecs  map[string]Codec
 	budget  int64
-	hold    time.Duration
 	faults  *faultinject.Injector
 	log     *slog.Logger
 
@@ -58,7 +57,6 @@ func Open(opts Options) (*Store, error) {
 		version: opts.Version,
 		codecs:  opts.Codecs,
 		budget:  opts.DiskBudget,
-		hold:    opts.SaturationHold,
 		faults:  opts.Faults,
 		log:     opts.Logger,
 		disk:    make(map[string]*diskEntry),
@@ -69,9 +67,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	if s.budget == 0 {
 		s.budget = DefaultDiskBudget
-	}
-	if s.hold == 0 {
-		s.hold = DefaultSaturationHold
 	}
 	if s.log == nil {
 		s.log = telemetry.DiscardLogger()
@@ -89,10 +84,37 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
+// NewMemory returns a store with no disk tier: every value lives only in a
+// hot tier of at most hotEntries values (DefaultHotEntries when <= 0) and
+// dies with the process. The memory-only service runs every artifact class
+// and the journal on one of these.
+func NewMemory(hotEntries int) *Store {
+	if hotEntries <= 0 {
+		hotEntries = DefaultHotEntries
+	}
+	return &Store{
+		version: StoreVersion,
+		log:     telemetry.DiscardLogger(),
+		hot:     newHotLRU(hotEntries),
+		disk:    make(map[string]*diskEntry),
+		lru:     list.New(),
+	}
+}
+
 // versionedKey stamps the store version into a caller key; this is the only
 // form that ever addresses disk.
 func (s *Store) versionedKey(key string) string {
 	return fmt.Sprintf("v%d|%s", s.version, key)
+}
+
+// entryLocked returns the disk entry of a caller key, nil when absent. An
+// empty disk tier (always, on a memory-only store) answers without
+// formatting the versioned key, so hot-tier lookups stay allocation-free.
+func (s *Store) entryLocked(key string) *diskEntry {
+	if len(s.disk) == 0 {
+		return nil
+	}
+	return s.disk[s.versionedKey(key)]
 }
 
 // codecFor returns the codec of a caller key's class (the prefix before the
@@ -118,13 +140,13 @@ func (s *Store) Get(key string) (any, bool) {
 	if s.hot != nil {
 		if v, ok := s.hot.get(key); ok {
 			s.ctr.HotHits++
-			if e := s.disk[s.versionedKey(key)]; e != nil {
+			if e := s.entryLocked(key); e != nil {
 				s.touchLocked(e)
 			}
 			return v, true
 		}
 	}
-	e := s.disk[s.versionedKey(key)]
+	e := s.entryLocked(key)
 	if e == nil {
 		s.ctr.Misses++
 		return nil, false
@@ -272,7 +294,7 @@ func (s *Store) Len() int {
 	n := len(s.disk)
 	if s.hot != nil {
 		for _, k := range s.hot.keys() {
-			if _, ok := s.disk[s.versionedKey(k)]; !ok {
+			if s.entryLocked(k) == nil {
 				n++
 			}
 		}
@@ -286,7 +308,7 @@ func (s *Store) Len() int {
 func (s *Store) Saturated() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.lastErr.IsZero() && time.Since(s.lastErr) < s.hold
+	return !s.lastErr.IsZero() && time.Since(s.lastErr) < DefaultSaturationHold
 }
 
 // Counters snapshots the store's accounting.

@@ -25,7 +25,7 @@ func TestBuildPrunedDropsDeadCallEdges(t *testing.T) {
 	b.Entry("main")
 	prog := b.MustBuild()
 
-	a, err := mirstatic.Analyze(prog)
+	a, err := mirstatic.Analyze(prog, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestBuildPrunedKeepsFoldedEdge(t *testing.T) {
 	b.Entry("main")
 	prog := b.MustBuild()
 
-	a, err := mirstatic.Analyze(prog)
+	a, err := mirstatic.Analyze(prog, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

@@ -28,12 +28,13 @@ type Cache interface {
 }
 
 // FingerprintKey derives the content address of a program's fingerprint
-// artifact: the assembled program text and the shingle width are the only
-// inputs fingerprintProgram reads.
-func FingerprintKey(prog *isa.Program, k int) string {
+// artifact: the assembled program text is the only input fingerprintProgram
+// reads. The shingle width is hashed too, so a change of DefaultK retires
+// every stored fingerprint.
+func FingerprintKey(prog *isa.Program) string {
 	h := sha256.New()
 	io.WriteString(h, asm.Format(prog))
-	fmt.Fprintf(h, "|k:%d", k)
+	fmt.Fprintf(h, "|k:%d", DefaultK)
 	return "ci:" + hex.EncodeToString(h.Sum(nil))
 }
 
@@ -42,17 +43,16 @@ func FingerprintKey(prog *isa.Program, k int) string {
 // recomputation; fingerprints are deterministic, so a stale-typed hit can
 // never change scan results, only cost the recompute.
 func (ix *Index) fingerprint(prog *isa.Program) *progFP {
-	k := ix.cfg.k()
 	if ix.cfg.Cache == nil {
-		return fingerprintProgram(prog, k)
+		return fingerprintProgram(prog)
 	}
-	key := FingerprintKey(prog, k)
+	key := FingerprintKey(prog)
 	if v, ok := ix.cfg.Cache.Get(key); ok {
 		if fp, ok := v.(*progFP); ok {
 			return fp
 		}
 	}
-	fp := fingerprintProgram(prog, k)
+	fp := fingerprintProgram(prog)
 	ix.cfg.Cache.Put(key, fp)
 	return fp
 }

@@ -32,8 +32,6 @@ const (
 
 // Config tunes retrieval. The zero value gives the defaults.
 type Config struct {
-	// K is the shingle width in instructions; DefaultK when 0.
-	K int
 	// MinScore is the minimum combined score for a function match to count
 	// toward a candidate; DefaultMinScore when 0, negative admits all.
 	MinScore float64
@@ -51,13 +49,6 @@ type Config struct {
 	// restarts, through the persistent artifact store — skip the
 	// fingerprinting pass.
 	Cache Cache
-}
-
-func (c Config) k() int {
-	if c.K <= 0 {
-		return DefaultK
-	}
-	return c.K
 }
 
 func (c Config) minScore() float64 {
@@ -97,15 +88,16 @@ type progFP struct {
 }
 
 // fingerprintProgram computes per-function fingerprints, shapes, and
-// callgraph-context unions for one linked program.
-func fingerprintProgram(prog *isa.Program, k int) *progFP {
+// callgraph-context unions for one linked program, over DefaultK-wide
+// shingles.
+func fingerprintProgram(prog *isa.Program) *progFP {
 	g := cfg.Build(prog)
 	p := &progFP{byFn: make(map[string]*fnFP, len(prog.Funcs))}
 	callees := make(map[string][]string, len(prog.Funcs))
 	for _, f := range prog.Funcs {
 		fp := &fnFP{
 			name:   f.Name,
-			hashes: FingerprintFn(f, k),
+			hashes: FingerprintFn(f, DefaultK),
 			shape:  shapeOf(f, g),
 		}
 		for _, site := range g.Sites(f.Name) {

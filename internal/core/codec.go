@@ -20,6 +20,7 @@ import (
 	"octopocs/internal/asm"
 	"octopocs/internal/cfg"
 	"octopocs/internal/hybrid"
+	"octopocs/internal/isa"
 	"octopocs/internal/mirstatic"
 	"octopocs/internal/vm"
 )
@@ -107,7 +108,7 @@ func (P2Codec) Decode(data []byte) (any, error) {
 	}
 	var pruner cfg.Pruner
 	if w.Pruned {
-		sa, aerr := mirstatic.AnalyzeOpts(prog, mirstatic.Options{Absint: w.Absint})
+		sa, aerr := mirstatic.Analyze(prog, rangesIf(w.Absint, prog))
 		if aerr != nil {
 			return nil, fmt.Errorf("core: p2 codec: reanalyze T: %w", aerr)
 		}
@@ -182,7 +183,7 @@ func (StaticCodec) Decode(data []byte) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: static codec: parse T: %w", err)
 	}
-	sa, err := mirstatic.AnalyzeOpts(prog, mirstatic.Options{Absint: w.Absint})
+	sa, err := mirstatic.Analyze(prog, rangesIf(w.Absint, prog))
 	if err != nil {
 		return nil, fmt.Errorf("core: static codec: reanalyze T: %w", err)
 	}
@@ -219,4 +220,13 @@ func (AbsintCodec) Decode(data []byte) (any, error) {
 		return nil, fmt.Errorf("core: absint codec: parse T: %w", err)
 	}
 	return absint.Analyze(prog), nil
+}
+
+// rangesIf re-derives the value ranges a decoded static analysis was
+// strengthened with: absint.Analyze(prog) when on, nil otherwise.
+func rangesIf(on bool, prog *isa.Program) *absint.Result {
+	if !on {
+		return nil
+	}
+	return absint.Analyze(prog)
 }

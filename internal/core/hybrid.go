@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"time"
 
 	"octopocs/internal/asm"
 	"octopocs/internal/cfg"
@@ -47,7 +46,7 @@ func (p *Pipeline) partialSeed(constraints []*expr.Expr, inputSize int, reason R
 	if err != nil {
 		return nil
 	}
-	return model.Fill(inputSize, p.cfg.PadByte)
+	return model.Fill(inputSize, padByte)
 }
 
 // hyKey derives the content address of a hybrid-campaign outcome. Every
@@ -90,12 +89,6 @@ func (p *Pipeline) phaseHybrid(ctx context.Context, pair *Pair, ep string, dist 
 		}
 		frozen = append(frozen, fuzz.Span{Start: int(b.Start), Len: len(b.Bytes)})
 	}
-	// Resolve the default budget here rather than inside Run, so the hy:
-	// cache key and the journaled budget reflect the effective value.
-	execs := p.cfg.HybridExecs
-	if execs <= 0 {
-		execs = hybrid.DefaultMaxExecs
-	}
 	c := &hybrid.Campaign{
 		Prog:        pair.T,
 		Lib:         pair.Lib,
@@ -103,12 +96,11 @@ func (p *Pipeline) phaseHybrid(ctx context.Context, pair *Pair, ep string, dist 
 		Dist:        dist,
 		Seeds:       seeds,
 		Frozen:      frozen,
-		MaxExecs:    execs,
+		MaxExecs:    hybrid.DefaultMaxExecs,
 		MaxSteps:    p.maxSteps(pair),
 		MaxInputLen: p.symInputSize(pair),
 		Seed:        hybridSeed,
 		Shards:      hybrid.DefaultShards,
-		Workers:     p.cfg.HybridWorkers,
 	}
 
 	revalidate := func(o *hybrid.Outcome) bool {
@@ -127,9 +119,8 @@ func (p *Pipeline) phaseHybrid(ctx context.Context, pair *Pair, ep string, dist 
 			"frozen": len(frozen),
 			"execs":  c.MaxExecs,
 		})
-		start := time.Now()
 		out := c.Run()
-		p.cfg.Metrics.hybridObserve(out, time.Since(start))
+		p.cfg.Metrics.hybridObserve(out)
 		rec.Emit(journal.EvHybridDone, journal.Attrs{
 			"rescued":    out.Rescued,
 			"execs":      out.Execs,

@@ -57,8 +57,6 @@ type Config struct {
 	// never changes a verdict or the poc' bytes: the oracle's proofs hold on
 	// every concrete execution, so only the SAT checks differ.
 	Absint bool
-	// PadByte fills unconstrained poc' bytes.
-	PadByte byte
 	// HybridFuzz enables the directed-fuzzing fallback (internal/hybrid):
 	// when symbolic execution ends θ-exhausted (loop-dead) or out of solver
 	// budget — the two outcomes where the failure is a bound of the
@@ -69,27 +67,15 @@ type Config struct {
 	// replayed on the concrete VM before it is reported, and only upgrades
 	// those two failure outcomes; sound verdicts are never revisited.
 	HybridFuzz bool
-	// HybridExecs bounds the fallback campaign's executions (0 means
-	// hybrid.DefaultMaxExecs).
-	HybridExecs int64
-	// HybridWorkers bounds the goroutines running campaign shards; purely
-	// a throughput knob (results are identical for any value).
-	HybridWorkers int
 	// SymexWorkers is the number of explorer goroutines of the P2/P3
 	// directed frontier engine; 0 (default) and 1 both mean one explorer.
 	// Every value produces the same verdict and poc' bytes (the frontier
 	// commit protocol is deterministic); only wall time and Stats differ.
 	SymexWorkers int
-	// SatCacheEntries sizes the shared satisfiability-verdict cache used by
-	// every feasibility check of this pipeline (directed execution, bunch
-	// placement, dynamic-CFG discovery). 0 means solver.DefaultCacheEntries;
-	// negative disables memoization. Cached verdicts are always identical
-	// to fresh ones, so this is purely a performance knob.
-	SatCacheEntries int
 	// Metrics, when non-nil, receives engine counters (VM, symbolic
-	// executor, solver) from every run. Leave nil to disable engine
-	// instrumentation entirely; the hot paths then contain no telemetry
-	// calls at all.
+	// executor, solver) and every phase's latency from every run. Leave nil
+	// to disable engine instrumentation entirely; the hot paths then
+	// contain no telemetry calls at all.
 	Metrics *Metrics
 	// Retry bounds the per-phase retry loop for transient faults (injected
 	// SAT failures, recovered worker panics). The zero value retries
@@ -110,17 +96,19 @@ type Pipeline struct {
 	cfg Config
 	// caches holds the artifact cache of each class; see SetCaches.
 	caches map[string]Cache
-	// satCache memoizes satisfiability verdicts across all phases and all
-	// concurrent verifications sharing this pipeline; nil when disabled.
+	// satCache memoizes satisfiability verdicts (solver.DefaultCacheEntries
+	// of them) across every feasibility check of all phases and all
+	// concurrent verifications sharing this pipeline. Cached verdicts are
+	// identical to fresh ones, so its size is not a setting.
 	satCache *solver.Cache
 }
 
+// padByte fills the poc' bytes no constraint pins.
+const padByte = 0
+
 // New returns a pipeline with the given configuration.
 func New(cfg Config) *Pipeline {
-	p := &Pipeline{cfg: cfg}
-	if cfg.SatCacheEntries >= 0 {
-		p.satCache = solver.NewCache(cfg.SatCacheEntries)
-	}
+	p := &Pipeline{cfg: cfg, satCache: solver.NewCache(solver.DefaultCacheEntries)}
 	if cfg.Faults != nil && cfg.Metrics != nil {
 		cfg.Faults.SetCounters(faultinject.Counters{
 			Injected:  cfg.Metrics.FaultsInjected,
@@ -132,8 +120,8 @@ func New(cfg Config) *Pipeline {
 	return p
 }
 
-// SatCache exposes the pipeline's shared satisfiability cache (nil when
-// disabled) so callers can surface its hit-rate statistics.
+// SatCache exposes the pipeline's shared satisfiability cache, which every
+// pipeline has, so callers can surface its hit-rate statistics.
 func (p *Pipeline) SatCache() *solver.Cache { return p.satCache }
 
 // errParamMismatch aborts P2/P3 when T enters ep with context parameters
@@ -394,7 +382,8 @@ func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recor
 
 // phase runs one pipeline phase under the pipeline's one instrumentation
 // site: the span name under root, the retry of transient faults, the span's
-// cached attribute, and the phase's wall time into *took. fn reports
+// cached attribute, and the phase's wall time into *took and into the
+// phase's octopocs_phase_seconds series. name is one of Phases. fn reports
 // whether its artifact came from the cache; it may set result attributes
 // on sp and parent child spans to it.
 func (p *Pipeline) phase(ctx context.Context, root *telemetry.Span, name string, took *time.Duration, fn func(sp *telemetry.Span) (cached bool, err error)) (bool, error) {
@@ -408,6 +397,7 @@ func (p *Pipeline) phase(ctx context.Context, root *telemetry.Span, name string,
 	sp.SetAttr("cached", hit)
 	sp.End()
 	*took = time.Since(t0)
+	p.cfg.Metrics.observePhase(name, *took)
 	return hit, err
 }
 
@@ -847,5 +837,5 @@ func (p *Pipeline) reform(ctx context.Context, pair *Pair, ep string, dist *cfg.
 	// run stops there, so nothing constrains those bytes — but a
 	// truncated file would turn an overflowing read into a harmless
 	// short read).
-	return model.Fill(inputSize, p.cfg.PadByte), nil, res.Stats, ReasonNone, nil
+	return model.Fill(inputSize, padByte), nil, res.Stats, ReasonNone, nil
 }

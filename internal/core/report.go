@@ -146,6 +146,11 @@ type Report struct {
 	Timings PhaseTimings
 }
 
+// Phases names the pipeline phases in run order: the span names, the
+// octopocs_phase_seconds labels and the keys of the service's phase
+// latency statistics.
+var Phases = []string{"p1", "absint", "static", "p2_prep", "reform", "hybrid", "p4"}
+
 // PhaseTimings is the per-phase wall-clock breakdown of one verification,
 // plus which phases were served from an artifact cache.
 type PhaseTimings struct {

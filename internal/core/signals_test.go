@@ -2,13 +2,18 @@ package core_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	"octopocs/internal/core"
 	"octopocs/internal/corpus"
 	"octopocs/internal/journal"
+	"octopocs/internal/service"
 	"octopocs/internal/telemetry"
 )
 
@@ -28,8 +33,10 @@ var phaseCached = map[string]bool{"p1": true, "absint": true, "static": true, "p
 // cached, on a static short-circuit (row 16), a hybrid rescue (row 19) and
 // a triggered pair (row 7), twice through one pipeline. Every phase that
 // ran must have its span under verify with a cached attribute, a positive
-// timing, and exactly one cache.probe per owned class; on the second run
-// every probe must hit.
+// timing, exactly one octopocs_phase_seconds observation, and exactly one
+// cache.probe per owned class; on the second run every probe must hit. A
+// phase that did not run observes nothing. The service's /v1/stats reports
+// all seven phases from the same series.
 func TestEveryPhaseEmitsEverySignal(t *testing.T) {
 	for _, tc := range []struct {
 		row    int
@@ -40,13 +47,14 @@ func TestEveryPhaseEmitsEverySignal(t *testing.T) {
 		{7, []string{"p1", "absint", "static", "p2_prep", "reform", "p4"}},
 	} {
 		t.Run(fmt.Sprintf("row-%02d", tc.row), func(t *testing.T) {
-			pl := core.New(core.Config{StaticPrune: true, Absint: true, HybridFuzz: true})
+			met := core.NewMetrics(telemetry.NewRegistry())
+			pl := core.New(core.Config{StaticPrune: true, Absint: true, HybridFuzz: true, Metrics: met})
 			caches := make(map[string]core.Cache, len(core.Classes))
 			for _, class := range core.Classes {
 				caches[class] = newMapCache()
 			}
 			pl.SetCaches(caches)
-			for _, pass := range []string{"cold", "warm"} {
+			for n, pass := range []string{"cold", "warm"} {
 				tr := telemetry.NewTrace(pass, "verify")
 				rec := journal.New(pass, journal.Options{})
 				ctx := journal.With(telemetry.WithTrace(context.Background(), tr), rec)
@@ -73,6 +81,15 @@ func TestEveryPhaseEmitsEverySignal(t *testing.T) {
 					if ev.Type == journal.EvCacheProbe {
 						phase := ev.Attrs["phase"].(string)
 						probes[phase] = append(probes[phase], ev.Attrs["hit"].(bool))
+					}
+				}
+				for _, phase := range core.Phases {
+					want := uint64(0)
+					if slices.Contains(tc.phases, phase) {
+						want = uint64(n + 1)
+					}
+					if got := met.Phase[phase].Count(); got != want {
+						t.Errorf("%s: octopocs_phase_seconds{phase=%q} count = %d, want %d", pass, phase, got, want)
 					}
 				}
 				for _, phase := range tc.phases {
@@ -105,5 +122,36 @@ func TestEveryPhaseEmitsEverySignal(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// The service reads the same series: after one job on row 19, every
+	// phase has run exactly once.
+	svc := service.New(service.Config{Workers: 1, Pipeline: core.Config{StaticPrune: true, Absint: true, HybridFuzz: true}})
+	defer svc.Shutdown(context.Background())
+	job, err := svc.Submit(corpus.ByIdx(19).Pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st service.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.PhaseLatency) != len(core.Phases) {
+		t.Errorf("phase_latency keys = %d, want %d", len(st.PhaseLatency), len(core.Phases))
+	}
+	for _, phase := range core.Phases {
+		if pl, ok := st.PhaseLatency[phase]; !ok || pl.Count != 1 {
+			t.Errorf("phase_latency[%q] = %+v (present %v), want count 1", phase, pl, ok)
+		}
 	}
 }

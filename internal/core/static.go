@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"time"
 
 	"octopocs/internal/absint"
 	"octopocs/internal/asm"
@@ -49,9 +48,8 @@ func absintKey(pair *Pair) string {
 // path.
 func (p *Pipeline) phaseAbsint(ctx context.Context, pair *Pair) (*absint.Result, bool) {
 	ai, hit, _ := cached(ctx, p, ClassAbsint, func() string { return absintKey(pair) }, nil, func() (*absint.Result, error) {
-		start := time.Now()
 		ai := absint.Analyze(pair.T)
-		p.cfg.Metrics.absintObserve(&ai.Summary, time.Since(start))
+		p.cfg.Metrics.absintObserve(&ai.Summary)
 		return ai, nil
 	})
 	return ai, hit
@@ -67,12 +65,11 @@ func (p *Pipeline) phaseStatic(ctx context.Context, pair *Pair, ai *absint.Resul
 		if err := p.cfg.Faults.Err(faultinject.CoreStatic); err != nil {
 			return nil, fmt.Errorf("pair %s: static pre-analysis of T: %w", pair.Name, err)
 		}
-		start := time.Now()
-		sa, err := mirstatic.AnalyzeOpts(pair.T, mirstatic.Options{Absint: ai != nil, Ranges: ai})
+		sa, err := mirstatic.Analyze(pair.T, ai)
 		if err != nil {
 			return nil, fmt.Errorf("pair %s: static pre-analysis of T: %w", pair.Name, err)
 		}
-		p.cfg.Metrics.staticObserve(&sa.Summary, time.Since(start))
+		p.cfg.Metrics.staticObserve(&sa.Summary)
 		return sa, nil
 	})
 }

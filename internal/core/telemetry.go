@@ -22,6 +22,11 @@ type Metrics struct {
 	Symex  *symex.Metrics
 	Solver *solver.Metrics
 
+	// Phase holds the octopocs_phase_seconds series of each name in
+	// Phases. Pipeline.phase observes every phase run into it, cache hits
+	// and phases of jobs that later fail included.
+	Phase map[string]*telemetry.Histogram
+
 	// Static pre-analysis counters (the P2 pre-phase). All fields are
 	// nil-tolerant, so a partially populated bundle is valid.
 	StaticAnalyses      *telemetry.Counter
@@ -29,20 +34,17 @@ type Metrics struct {
 	StaticDeadBlocks    *telemetry.Counter
 	StaticDeadRegions   *telemetry.Counter
 	StaticShortCircuits *telemetry.Counter
-	StaticLatency       *telemetry.Histogram
 
 	// Abstract-interpretation counters (interval∧congruence value ranges).
 	AbsintAnalyses       *telemetry.Counter
 	AbsintProvedBranches *telemetry.Counter
 	AbsintUnreachable    *telemetry.Counter
-	AbsintLatency        *telemetry.Histogram
 
 	// Hybrid-fallback counters (the directed-fuzzing campaign).
-	HybridCampaigns *telemetry.Counter
-	HybridRescued   *telemetry.Counter
-	HybridRejected  *telemetry.Counter
-	HybridExecs     *telemetry.Counter
-	HybridLatency   *telemetry.Histogram
+	HybridCampaigns  *telemetry.Counter
+	HybridRescued    *telemetry.Counter
+	HybridRejected   *telemetry.Counter
+	HybridExecutions *telemetry.Counter
 
 	// Fault-injection counters (populated by the chaos harness; always zero
 	// in production, where no injector is attached).
@@ -80,7 +82,14 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		StaticDischarged: reg.Counter("octopocs_solver_static_discharged_total",
 			"Feasibility queries answered by the absint branch oracle without a solver call.", nil),
 	}
+	phase := make(map[string]*telemetry.Histogram, len(Phases))
+	for _, name := range Phases {
+		phase[name] = reg.Histogram("octopocs_phase_seconds",
+			"Wall-clock seconds of one pipeline phase run, cache hits included.",
+			telemetry.Labels{"phase": name}, nil)
+	}
 	return &Metrics{
+		Phase: phase,
 		VM: &vm.Metrics{
 			Runs: reg.Counter("octopocs_vm_runs_total",
 				"Concrete VM executions.", nil),
@@ -130,29 +139,20 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Dominator-closed dead regions behind folded branches.", nil),
 		StaticShortCircuits: reg.Counter("octopocs_static_short_circuits_total",
 			"Verifications concluded statically-unreachable without symbolic execution.", nil),
-		StaticLatency: reg.Histogram("octopocs_static_latency_seconds",
-			"Wall-clock seconds of one static pre-analysis.", nil,
-			[]float64{0.0001, 0.001, 0.01, 0.1, 1, 10}),
 		AbsintAnalyses: reg.Counter("octopocs_absint_analyses_total",
 			"Abstract-interpretation analyses computed (cache hits excluded).", nil),
 		AbsintProvedBranches: reg.Counter("octopocs_absint_proved_branches_total",
 			"Conditional branches proven one-sided by value-range analysis.", nil),
 		AbsintUnreachable: reg.Counter("octopocs_absint_unreachable_blocks_total",
 			"Basic blocks proven unreachable by value-range analysis.", nil),
-		AbsintLatency: reg.Histogram("octopocs_absint_latency_seconds",
-			"Wall-clock seconds of one abstract-interpretation analysis.", nil,
-			[]float64{0.0001, 0.001, 0.01, 0.1, 1, 10}),
 		HybridCampaigns: reg.Counter("octopocs_hybrid_campaigns_total",
 			"Directed-fuzzing fallback campaigns run (cache hits excluded).", nil),
 		HybridRescued: reg.Counter("octopocs_hybrid_rescued_total",
 			"Campaigns whose replay-confirmed crash upgraded a symex failure.", nil),
 		HybridRejected: reg.Counter("octopocs_hybrid_rejected_total",
 			"Cached hybrid outcomes discarded because their poc' no longer reproduced.", nil),
-		HybridExecs: reg.Counter("octopocs_hybrid_execs_total",
+		HybridExecutions: reg.Counter("octopocs_hybrid_execs_total",
 			"Concrete executions spent by fallback campaigns.", nil),
-		HybridLatency: reg.Histogram("octopocs_hybrid_latency_seconds",
-			"Wall-clock seconds of one fallback campaign.", nil,
-			[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}),
 		FaultsInjected: reg.Counter("octopocs_faults_injected_total",
 			"Faults fired by the injection schedule.", nil),
 		FaultsRecovered: reg.Counter("octopocs_faults_recovered_total",
@@ -187,8 +187,16 @@ func (m *Metrics) solverSink() *solver.Metrics {
 	return m.Solver
 }
 
+// observePhase records one phase run's wall time.
+func (m *Metrics) observePhase(name string, d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.Phase[name].ObserveDuration(d)
+}
+
 // staticObserve flushes one freshly computed static pre-analysis.
-func (m *Metrics) staticObserve(s *mirstatic.Summary, d time.Duration) {
+func (m *Metrics) staticObserve(s *mirstatic.Summary) {
 	if m == nil {
 		return
 	}
@@ -196,22 +204,20 @@ func (m *Metrics) staticObserve(s *mirstatic.Summary, d time.Duration) {
 	m.StaticFolded.Add(uint64(s.FoldedBranches))
 	m.StaticDeadBlocks.Add(uint64(s.DeadBlocks))
 	m.StaticDeadRegions.Add(uint64(s.DeadRegions))
-	m.StaticLatency.ObserveDuration(d)
 }
 
 // absintObserve flushes one freshly computed abstract interpretation.
-func (m *Metrics) absintObserve(s *absint.Summary, d time.Duration) {
+func (m *Metrics) absintObserve(s *absint.Summary) {
 	if m == nil {
 		return
 	}
 	m.AbsintAnalyses.Inc()
 	m.AbsintProvedBranches.Add(uint64(s.ProvedBranches))
 	m.AbsintUnreachable.Add(uint64(s.Unreachable))
-	m.AbsintLatency.ObserveDuration(d)
 }
 
 // hybridObserve flushes one freshly run fallback campaign.
-func (m *Metrics) hybridObserve(o *hybrid.Outcome, d time.Duration) {
+func (m *Metrics) hybridObserve(o *hybrid.Outcome) {
 	if m == nil {
 		return
 	}
@@ -219,8 +225,7 @@ func (m *Metrics) hybridObserve(o *hybrid.Outcome, d time.Duration) {
 	if o.Rescued {
 		m.HybridRescued.Inc()
 	}
-	m.HybridExecs.Add(uint64(o.Execs))
-	m.HybridLatency.ObserveDuration(d)
+	m.HybridExecutions.Add(uint64(o.Execs))
 }
 
 // hybridRejected counts one corrupted cached outcome discarded by the

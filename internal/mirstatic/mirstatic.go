@@ -65,19 +65,6 @@ type Summary struct {
 	AbsintDead   int `json:"absint_dead,omitempty"`
 }
 
-// Options parameterizes AnalyzeOpts.
-type Options struct {
-	// Absint enables the abstract-interpretation strengthening layer: the
-	// interval∧congruence value ranges from internal/absint decide branches
-	// (and kill blocks) that the flat constant lattice cannot, e.g. the
-	// parity guard after an even-stride loop.
-	Absint bool
-	// Ranges optionally supplies a precomputed absint result (e.g. the
-	// pipeline's cached ai: artifact); when nil and Absint is set, the
-	// analysis is run here.
-	Ranges *absint.Result
-}
-
 // Analysis is the immutable result of Analyze. It implements the
 // cfg.Pruner contract (DeadBlock, BranchTaken) consumed by the pruned CFG
 // build and the symex frontier.
@@ -92,22 +79,19 @@ type Analysis struct {
 	// slots widened to may-call-anything.
 	Reachable map[string]bool
 	// Ranges is the interval∧congruence analysis that strengthened this
-	// result; nil when Options.Absint was off.
+	// result; nil when Analyze got none.
 	Ranges  *absint.Result
 	Summary Summary
 }
 
-// Analyze verifies prog and computes the full static analysis with default
-// options (no abstract-interpretation strengthening). It returns an error
-// carrying the verifier diagnostics when the program is malformed; warnings
-// are collected on the Analysis instead.
-func Analyze(prog *isa.Program) (*Analysis, error) {
-	return AnalyzeOpts(prog, Options{})
-}
-
-// AnalyzeOpts verifies prog and computes the full static analysis under
-// explicit options.
-func AnalyzeOpts(prog *isa.Program, opts Options) (*Analysis, error) {
+// Analyze verifies prog and computes the full static analysis. It returns an
+// error carrying the verifier diagnostics when the program is malformed;
+// warnings are collected on the Analysis instead. A non-nil ranges enables
+// the abstract-interpretation strengthening layer: the interval∧congruence
+// value ranges of prog (from absint.Analyze, or the pipeline's cached ai:
+// artifact) decide branches (and kill blocks) that the flat constant
+// lattice cannot, e.g. the parity guard after an even-stride loop.
+func Analyze(prog *isa.Program, ranges *absint.Result) (*Analysis, error) {
 	diags := Verify(prog)
 	var warns []Diagnostic
 	for _, d := range diags {
@@ -121,12 +105,7 @@ func AnalyzeOpts(prog *isa.Program, opts Options) (*Analysis, error) {
 		Funcs:     make(map[string]*FuncFacts, len(prog.Funcs)),
 		Warnings:  warns,
 		Reachable: make(map[string]bool),
-	}
-	if opts.Absint {
-		a.Ranges = opts.Ranges
-		if a.Ranges == nil {
-			a.Ranges = absint.Analyze(prog)
-		}
+		Ranges:    ranges,
 	}
 	for _, f := range prog.Funcs {
 		ff := analyzeFunc(f)

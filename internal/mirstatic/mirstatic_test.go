@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"octopocs/internal/absint"
 	"octopocs/internal/asm"
 	"octopocs/internal/isa"
 	"octopocs/internal/mirstatic"
@@ -25,7 +26,7 @@ func TestConstantFoldKillsGuardedRegion(t *testing.T) {
 	b.Entry("main")
 	prog := b.MustBuild()
 
-	a, err := mirstatic.Analyze(prog)
+	a, err := mirstatic.Analyze(prog, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestInputDependentBranchDoesNotFold(t *testing.T) {
 	b.Entry("main")
 	prog := b.MustBuild()
 
-	a, err := mirstatic.Analyze(prog)
+	a, err := mirstatic.Analyze(prog, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -117,7 +118,7 @@ func TestIndirectCallWidening(t *testing.T) {
 		return b.MustBuild()
 	}
 
-	withEmpty, err := mirstatic.Analyze(build("h", ""))
+	withEmpty, err := mirstatic.Analyze(build("h", ""), nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -125,7 +126,7 @@ func TestIndirectCallWidening(t *testing.T) {
 		t.Error("unresolved functable slot must widen to may-call-anything; ep reported unreachable")
 	}
 
-	resolved, err := mirstatic.Analyze(build("h"))
+	resolved, err := mirstatic.Analyze(build("h"), nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -178,7 +179,7 @@ func TestDominatorsDiamond(t *testing.T) {
 		}
 	}
 
-	a, err := mirstatic.Analyze(prog)
+	a, err := mirstatic.Analyze(prog, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -272,7 +273,7 @@ func TestVerifierRejectsMalformed(t *testing.T) {
 	if errs < 5 {
 		t.Errorf("want >= 5 errors, got %d: %v", errs, ds)
 	}
-	if _, err := mirstatic.Analyze(prog); err == nil {
+	if _, err := mirstatic.Analyze(prog, nil); err == nil {
 		t.Fatal("Analyze accepted a malformed program")
 	} else if !strings.Contains(err.Error(), "malformed") {
 		t.Errorf("unexpected error text: %v", err)
@@ -297,7 +298,7 @@ func TestVerifierWarnsOnPossiblyUndefinedRead(t *testing.T) {
 	if err := prog.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	a, err := mirstatic.Analyze(prog)
+	a, err := mirstatic.Analyze(prog, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -337,7 +338,7 @@ func TestFoldMirrorsVMArithmetic(t *testing.T) {
 	b.Entry("main")
 	prog := b.MustBuild()
 
-	a, err := mirstatic.Analyze(prog)
+	a, err := mirstatic.Analyze(prog, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -358,7 +359,7 @@ func TestFoldMirrorsVMArithmetic(t *testing.T) {
 	})
 	m2.Exit(0)
 	b2.Entry("main")
-	a2, err := mirstatic.Analyze(b2.MustBuild())
+	a2, err := mirstatic.Analyze(b2.MustBuild(), nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -387,7 +388,7 @@ func TestSCCPBeatsStraightReachability(t *testing.T) {
 	b.Entry("main")
 	prog := b.MustBuild()
 
-	a, err := mirstatic.Analyze(prog)
+	a, err := mirstatic.Analyze(prog, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -421,7 +422,7 @@ func TestAbsintStrengthensFolding(t *testing.T) {
 	b.Entry("main")
 	prog := b.MustBuild()
 
-	plain, err := mirstatic.Analyze(prog)
+	plain, err := mirstatic.Analyze(prog, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -432,11 +433,12 @@ func TestAbsintStrengthensFolding(t *testing.T) {
 		t.Fatalf("absint-off analysis carries absint state: %v", plain.Summary)
 	}
 
-	a, err := mirstatic.AnalyzeOpts(prog, mirstatic.Options{Absint: true})
+	ranges := absint.Analyze(prog)
+	a, err := mirstatic.Analyze(prog, ranges)
 	if err != nil {
-		t.Fatalf("AnalyzeOpts: %v", err)
+		t.Fatalf("Analyze: %v", err)
 	}
-	if a.Ranges == nil {
+	if a.Ranges != ranges {
 		t.Fatal("strengthened analysis did not retain the absint result")
 	}
 	if a.Summary.AbsintFolded == 0 {
@@ -462,13 +464,5 @@ func TestAbsintStrengthensFolding(t *testing.T) {
 	}
 	if !strings.Contains(a.Summary.String(), "absint-folded=") {
 		t.Errorf("summary string omits absint counters: %s", a.Summary)
-	}
-	// A precomputed result may be supplied (the pipeline's cached artifact).
-	pre, err := mirstatic.AnalyzeOpts(prog, mirstatic.Options{Absint: true, Ranges: a.Ranges})
-	if err != nil {
-		t.Fatalf("AnalyzeOpts(precomputed): %v", err)
-	}
-	if pre.Summary != a.Summary {
-		t.Errorf("precomputed ranges diverge: %v vs %v", pre.Summary, a.Summary)
 	}
 }

@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"testing"
 
-	"octopocs/internal/service"
+	"octopocs/internal/artifact"
 )
 
+// A memory-only Service (no Config.Stores) caches every artifact class and
+// the journal on artifact.NewMemory(Config.CacheEntries). These tests pin the
+// LRU behaviour the service relies on from that store.
+
 func TestLRUEvictsOldest(t *testing.T) {
-	c := service.NewLRU(2)
+	c := artifact.NewMemory(2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	// Touch a so b becomes the eviction candidate.
@@ -31,7 +35,7 @@ func TestLRUEvictsOldest(t *testing.T) {
 }
 
 func TestLRUUpdateInPlace(t *testing.T) {
-	c := service.NewLRU(2)
+	c := artifact.NewMemory(2)
 	c.Put("a", 1)
 	c.Put("a", 2)
 	if n := c.Len(); n != 1 {
@@ -43,20 +47,23 @@ func TestLRUUpdateInPlace(t *testing.T) {
 }
 
 func TestLRUCounters(t *testing.T) {
-	c := service.NewLRU(1)
+	c := artifact.NewMemory(1)
 	c.Get("missing")
 	c.Put("a", 1)
 	c.Get("a")
 	c.Put("b", 2) // evicts a
 	got := c.Counters()
-	want := service.CacheCounters{Hits: 1, Misses: 1, Evictions: 1, Entries: 1}
+	want := artifact.Counters{HotHits: 1, Misses: 1, HotEvictions: 1, HotEntries: 1}
 	if got != want {
 		t.Errorf("Counters = %+v, want %+v", got, want)
+	}
+	if c.Saturated() {
+		t.Error("a store with no disk tier reports saturation")
 	}
 }
 
 func TestLRUMinimumCapacity(t *testing.T) {
-	c := service.NewLRU(0)
+	c := artifact.NewMemory(0)
 	c.Put("a", 1)
 	if _, ok := c.Get("a"); !ok {
 		t.Error("capacity-clamped cache dropped its only entry")
@@ -64,7 +71,7 @@ func TestLRUMinimumCapacity(t *testing.T) {
 }
 
 func TestLRUConcurrent(t *testing.T) {
-	c := service.NewLRU(16)
+	c := artifact.NewMemory(16)
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func(w int) {

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"octopocs/internal/artifact"
 	"octopocs/internal/core"
 	"octopocs/internal/faultinject"
 	"octopocs/internal/journal"
@@ -51,8 +52,9 @@ var (
 const (
 	// DefaultQueueDepth bounds the number of accepted-but-unstarted jobs.
 	DefaultQueueDepth = 64
-	// DefaultCacheEntries is the per-class artifact cache capacity.
-	DefaultCacheEntries = 512
+	// DefaultCacheEntries is the per-class artifact cache capacity: the
+	// memory-only store's default hot-tier size.
+	DefaultCacheEntries = artifact.DefaultHotEntries
 )
 
 // Config parameterizes a Service.
@@ -73,18 +75,18 @@ type Config struct {
 	// CacheEntries sizes each artifact cache class; DefaultCacheEntries
 	// when 0, and any negative value disables caching entirely.
 	CacheEntries int
-	// Pipeline configures the underlying core pipeline.
+	// Pipeline configures the underlying core pipeline. Its Metrics is
+	// replaced by the service's own engine metrics, which /metrics and
+	// /v1/stats read.
 	Pipeline core.Config
 	// Stores plugs the persistent tiered artifact stores (see OpenStores)
 	// behind every pipeline artifact class, the journal, and the
-	// clone-fingerprint caches; without it each class is an in-memory LRU.
+	// clone-fingerprint caches; without it each class runs on a
+	// memory-only artifact store (artifact.NewMemory).
 	// The caller owns the bundle: open it before New, close it after
 	// Shutdown. While any store's disk tier is saturated, submissions are
 	// rejected with ErrSaturated.
 	Stores *Stores
-	// Registry receives service and engine metrics; New creates a private
-	// one when nil, so /metrics and latency quantiles always work.
-	Registry *telemetry.Registry
 	// Logger receives structured job-lifecycle logs; nil discards them.
 	Logger *slog.Logger
 	// TraceCapacity bounds the ring of retained finished job traces:
@@ -127,10 +129,6 @@ type Service struct {
 	running     int
 }
 
-// phaseNames are the phases whose latency the service reports, in the
-// order of serviceMetrics.phase.
-var phaseNames = [4]string{"p1", "p2_prep", "reform", "p4"}
-
 // New starts a service: the worker pool is live and accepting submissions
 // when New returns.
 func New(cfg Config) *Service {
@@ -140,15 +138,12 @@ func New(cfg Config) *Service {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = telemetry.DiscardLogger()
 	}
 	s := &Service{
 		cfg:     cfg,
-		reg:     cfg.Registry,
+		reg:     telemetry.NewRegistry(),
 		log:     cfg.Logger,
 		queue:   make(chan *Job, cfg.QueueDepth),
 		jobs:    make(map[string]*Job),
@@ -158,21 +153,17 @@ func New(cfg Config) *Service {
 	if cfg.TraceCapacity >= 0 {
 		s.traces = telemetry.NewTraceRing(cfg.TraceCapacity)
 	}
-	entries := cfg.CacheEntries
-	if entries == 0 {
-		entries = DefaultCacheEntries
-	}
 	if cfg.CacheEntries >= 0 {
 		// Each class runs on its persistent store when one is plugged in,
-		// else on a plain LRU. Every class is installed: the pipeline only
-		// touches ai/hy when their layer is on.
+		// else on a memory-only store. Every class is installed: the
+		// pipeline only touches ai/hy when their layer is on.
 		persisted := cfg.Stores.pipelineStores()
 		s.caches = make(map[string]core.Cache, len(core.Classes))
 		for _, class := range core.Classes {
 			if st := persisted[class]; st != nil {
 				s.caches[class] = st
 			} else {
-				s.caches[class] = NewLRU(entries)
+				s.caches[class] = artifact.NewMemory(cfg.CacheEntries)
 			}
 		}
 	}
@@ -180,16 +171,15 @@ func New(cfg Config) *Service {
 		if cfg.Stores != nil && cfg.Stores.Journal != nil {
 			s.jrc = cfg.Stores.Journal
 		} else if cfg.CacheEntries >= 0 {
-			s.jrc = NewLRU(entries)
+			s.jrc = artifact.NewMemory(cfg.CacheEntries)
 		}
 	}
 	// Metric registration must precede worker start so scrape-time
-	// collectors never race a half-built service.
+	// collectors never race a half-built service. The engine sinks are
+	// always the service's own: /metrics and /v1/stats read them.
 	s.met = newServiceMetrics(s, s.reg)
 	pcfg := cfg.Pipeline
-	if pcfg.Metrics == nil {
-		pcfg.Metrics = s.met.engines
-	}
+	pcfg.Metrics = s.met.engines
 	if cfg.SymexWorkers != 0 {
 		pcfg.SymexWorkers = max(1, cfg.SymexWorkers)
 	} else {
@@ -279,7 +269,7 @@ func (s *Service) rejectLocked(n int) {
 // Retry-After header on 429 responses.
 func (s *Service) RetryAfter() time.Duration {
 	if s.cfg.Stores.Saturated() {
-		return s.cfg.Stores.SaturationHold()
+		return artifact.DefaultSaturationHold
 	}
 	return time.Second
 }
@@ -510,7 +500,8 @@ func (s *Service) finishJob(j *Job, rep *core.Report, err error) {
 	}
 	s.mu.Unlock()
 	if state == JobDone {
-		s.met.observeDone(rep)
+		s.met.verdicts[rep.Verdict].Inc()
+		s.met.types[rep.Type].Inc()
 	}
 
 	switch state {

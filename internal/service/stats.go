@@ -5,8 +5,10 @@ import (
 	"octopocs/internal/core"
 )
 
-// PhaseLatency summarizes completed-job latency for one pipeline phase,
-// read from the phase's octopocs_phase_seconds histogram. Count and TotalMS
+// PhaseLatency summarizes the latency of one pipeline phase, read from the
+// phase's octopocs_phase_seconds histogram, which core.Pipeline observes on
+// every run of the phase: cache hits and phases of jobs that later failed
+// count too, and a phase that did not run adds nothing. Count and TotalMS
 // are its exact count and sum; the quantiles are estimated from its fixed
 // buckets (linear interpolation within the winning bucket), so they are
 // approximate but cheap and mergeable.
@@ -32,13 +34,13 @@ type Stats struct {
 	Failed    uint64 `json:"failed"`
 	Cancelled uint64 `json:"cancelled"`
 
-	// PhaseLatency is keyed by phase name: p1, p2_prep, reform, p4.
+	// PhaseLatency is keyed by phase name, one key for each of
+	// core.Phases: p1, absint, static, p2_prep, reform, hybrid, p4.
 	PhaseLatency map[string]PhaseLatency `json:"phase_latency"`
 
-	// P1Cache/P2Cache hold hit/miss counters when the backend supports
-	// accounting (the built-in LRU and the persistent artifact store do);
-	// nil otherwise. JournalCache is the same for the persisted-journal
-	// artifact store.
+	// P1Cache/P2Cache hold the hit/miss counters of those classes' artifact
+	// stores; nil when caching is off. JournalCache is the same for the
+	// journal store.
 	P1Cache      *CacheCounters `json:"p1_cache,omitempty"`
 	P2Cache      *CacheCounters `json:"p2_cache,omitempty"`
 	JournalCache *CacheCounters `json:"journal_cache,omitempty"`
@@ -65,10 +67,10 @@ func (s *Service) Stats() Stats {
 		Completed:    s.met.completed.Value(),
 		Failed:       s.met.failed.Value(),
 		Cancelled:    s.met.cancelled.Value(),
-		PhaseLatency: make(map[string]PhaseLatency, len(phaseNames)),
+		PhaseLatency: make(map[string]PhaseLatency, len(core.Phases)),
 	}
-	for i, name := range phaseNames {
-		h := s.met.phase[i]
+	for _, name := range core.Phases {
+		h := s.met.engines.Phase[name]
 		const ms = 1000
 		pl := PhaseLatency{
 			Count:   h.Count(),
@@ -96,22 +98,28 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// cacheCounters extracts accounting from stores that expose it, folding the
-// tiered artifact-store counters into the flat hit/miss view (the full
-// per-tier breakdown is in Stats.Stores).
+// CacheCounters is a point-in-time snapshot of one artifact class's
+// accounting: the tiered artifact-store counters folded into a flat hit/miss
+// view (the full per-tier breakdown is in Stats.Stores).
+type CacheCounters struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Entries   int    `json:"entries"`
+}
+
+// cacheCounters snapshots one class's store; nil when the class is not
+// cached.
 func cacheCounters(c core.Cache) *CacheCounters {
-	switch c := c.(type) {
-	case *LRU:
-		cc := c.Counters()
-		return &cc
-	case *artifact.Store:
-		ac := c.Counters()
-		return &CacheCounters{
-			Hits:      ac.Hits(),
-			Misses:    ac.Misses,
-			Evictions: ac.Evictions + ac.HotEvictions,
-			Entries:   c.Len(),
-		}
+	st, ok := c.(*artifact.Store)
+	if !ok {
+		return nil
 	}
-	return nil
+	ac := st.Counters()
+	return &CacheCounters{
+		Hits:      ac.Hits(),
+		Misses:    ac.Misses,
+		Evictions: ac.Evictions + ac.HotEvictions,
+		Entries:   st.Len(),
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"path/filepath"
-	"time"
 
 	"octopocs/internal/artifact"
 	"octopocs/internal/clonedet"
@@ -163,12 +162,6 @@ func (st *Stores) Saturated() bool {
 	sat := false
 	st.each(func(_ string, s *artifact.Store) { sat = sat || s.Saturated() })
 	return sat
-}
-
-// SaturationHold is how long a failed write keeps admission closed; served
-// as the Retry-After advice on saturation 429s.
-func (st *Stores) SaturationHold() time.Duration {
-	return artifact.DefaultSaturationHold
 }
 
 // Counters snapshots every store's accounting, keyed by class.

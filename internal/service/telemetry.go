@@ -8,9 +8,10 @@ import (
 )
 
 // serviceMetrics holds the instrument handles the service records into. The
-// engine sinks (VM, symex, solver) live in engines and are threaded into the
-// pipeline config; everything else is observed by the job lifecycle in
-// Submit/runJob/finishJob or collected at scrape time from live state.
+// engine sinks (VM, symex, solver, phase latency) live in engines and are
+// threaded into the pipeline config; everything else is observed by the job
+// lifecycle in Submit/runJob/finishJob or collected at scrape time from live
+// state.
 type serviceMetrics struct {
 	submitted *telemetry.Counter
 	rejected  *telemetry.Counter
@@ -18,10 +19,8 @@ type serviceMetrics struct {
 	failed    *telemetry.Counter
 	cancelled *telemetry.Counter
 
-	// queueWait is submission-to-start latency; phase is per-phase
-	// pipeline latency of completed jobs, indexed like phaseNames.
+	// queueWait is submission-to-start latency.
 	queueWait *telemetry.Histogram
-	phase     [4]*telemetry.Histogram
 
 	verdicts map[core.Verdict]*telemetry.Counter
 	types    map[core.ResultType]*telemetry.Counter
@@ -54,11 +53,6 @@ func newServiceMetrics(s *Service, reg *telemetry.Registry) *serviceMetrics {
 			"Time jobs spent queued before a worker picked them up.", nil, nil),
 		verdicts: make(map[core.Verdict]*telemetry.Counter, 3),
 		types:    make(map[core.ResultType]*telemetry.Counter, 4),
-	}
-	for i, name := range phaseNames {
-		m.phase[i] = reg.Histogram("octopocs_phase_seconds",
-			"Per-phase pipeline latency of completed jobs.",
-			telemetry.Labels{"phase": name}, nil)
 	}
 	for _, v := range []core.Verdict{core.VerdictTriggered, core.VerdictNotTriggerable, core.VerdictFailure} {
 		m.verdicts[v] = reg.Counter("octopocs_verdicts_total",
@@ -156,16 +150,4 @@ func registerStoreMetrics(reg *telemetry.Registry, stores *Stores) {
 				return 0
 			})
 	})
-}
-
-// observeDone records the phase latency, verdict and result type of one
-// completed job. Called without Service.mu held; every instrument is
-// internally synchronized.
-func (m *serviceMetrics) observeDone(rep *core.Report) {
-	t := rep.Timings
-	for i, d := range [4]float64{t.P1.Seconds(), t.P2Prep.Seconds(), t.Reform.Seconds(), t.P4.Seconds()} {
-		m.phase[i].Observe(d)
-	}
-	m.verdicts[rep.Verdict].Inc()
-	m.types[rep.Type].Inc()
 }
