@@ -176,10 +176,11 @@ func BenchmarkNaiveSEOpjDump(b *testing.B) {
 }
 
 // BenchmarkDiscover measures dynamic-CFG discovery (the P2 preparation
-// pass) on rows 19 and 20, the corpus's most solver-bound discoveries,
-// each op with a fresh solver cache as a cold pipeline has.
+// pass) on rows 3, 19 and 20, the corpus's most solver-bound discoveries,
+// each op with a fresh solver cache as a cold pipeline has. Row 3's pair
+// filters are the ones the solver's residual fold settles.
 func BenchmarkDiscover(b *testing.B) {
-	pairs := []*core.Pair{corpus.ByIdx(19).Pair, corpus.ByIdx(20).Pair}
+	pairs := []*core.Pair{corpus.ByIdx(3).Pair, corpus.ByIdx(19).Pair, corpus.ByIdx(20).Pair}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cache := solver.NewCache(0)

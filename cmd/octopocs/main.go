@@ -318,6 +318,32 @@ func explainPair(spec *corpus.PairSpec, rep *core.Report) {
 	}
 }
 
+// Patch-priority buckets of -prioritize, most urgent first.
+const (
+	bucketUrgent = iota
+	bucketReview
+	bucketDeferred
+	numBuckets
+)
+
+// bucketOf files a verdict under its patch priority. Both triggered
+// verdicts carry a crash inside ℓ confirmed by concrete replay, so they are
+// urgent whether the poc′ was reformed or fuzzed. Only a proof of
+// non-triggerability defers; no sound verdict, or a verdict this switch
+// does not know, goes to manual review.
+func bucketOf(v core.Verdict) int {
+	switch v {
+	case core.VerdictTriggered, core.VerdictTriggeredByFuzzing:
+		return bucketUrgent
+	case core.VerdictNotTriggerable:
+		return bucketDeferred
+	case core.VerdictFailure:
+		return bucketReview
+	default:
+		return bucketReview
+	}
+}
+
 // runPrioritize implements the paper's practical-usage workflow (§ VII):
 // verify every detected clone and order the patching work by urgency —
 // triggered clones first, unverifiable ones next (they need manual review),
@@ -328,21 +354,14 @@ func runPrioritize(cfg core.Config) error {
 		spec *corpus.PairSpec
 		rep  *core.Report
 	}
-	var urgent, review, deferred []entry
+	var buckets [numBuckets][]entry
 	for _, spec := range corpus.All() {
 		rep, err := pipeline.Verify(spec.Pair)
 		if err != nil {
 			return fmt.Errorf("pair %d: %w", spec.Idx, err)
 		}
-		e := entry{spec, rep}
-		switch rep.Verdict {
-		case core.VerdictTriggered:
-			urgent = append(urgent, e)
-		case core.VerdictFailure:
-			review = append(review, e)
-		default:
-			deferred = append(deferred, e)
-		}
+		b := bucketOf(rep.Verdict)
+		buckets[b] = append(buckets[b], entry{spec, rep})
 	}
 	print := func(title string, entries []entry, note string) {
 		fmt.Printf("%s (%d) — %s\n", title, len(entries), note)
@@ -351,9 +370,9 @@ func runPrioritize(cfg core.Config) error {
 		}
 		fmt.Println()
 	}
-	print("PATCH NOW", urgent, "the reformed PoC triggers the propagated vulnerability")
-	print("MANUAL REVIEW", review, "no sound verdict; analyze by hand")
-	print("DEFERRABLE", deferred, "proven not triggerable; patch during routine maintenance")
+	print("PATCH NOW", buckets[bucketUrgent], "a replay-confirmed poc′ triggers the propagated vulnerability")
+	print("MANUAL REVIEW", buckets[bucketReview], "no sound verdict; analyze by hand")
+	print("DEFERRABLE", buckets[bucketDeferred], "proven not triggerable; patch during routine maintenance")
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"octopocs/internal/core"
 )
 
 func TestRunArgumentValidation(t *testing.T) {
@@ -46,6 +48,28 @@ func TestRunWritesPoC(t *testing.T) {
 func TestRunExplain(t *testing.T) {
 	if err := run([]string{"-pair", "7", "-explain"}); err != nil {
 		t.Fatalf("run(-explain) = %v", err)
+	}
+}
+
+// TestBucketOf files every verdict: both replay-confirmed crash verdicts
+// are urgent, only a proof defers, and anything else goes to review.
+func TestBucketOf(t *testing.T) {
+	want := map[core.Verdict]int{
+		core.VerdictTriggered:          bucketUrgent,
+		core.VerdictTriggeredByFuzzing: bucketUrgent,
+		core.VerdictFailure:            bucketReview,
+		core.VerdictNotTriggerable:     bucketDeferred,
+		core.Verdict(0):                bucketReview,
+	}
+	for _, v := range core.Verdicts {
+		if _, ok := want[v]; !ok {
+			t.Errorf("verdict %v has no expected bucket", v)
+		}
+	}
+	for v, b := range want {
+		if got := bucketOf(v); got != b {
+			t.Errorf("bucketOf(%v) = %d, want %d", v, got, b)
+		}
 	}
 }
 

@@ -33,6 +33,10 @@ const (
 	VerdictTriggeredByFuzzing
 )
 
+// Verdicts lists every verdict, for code that must handle or count each
+// one, such as per-verdict metric series.
+var Verdicts = []Verdict{VerdictTriggered, VerdictNotTriggerable, VerdictFailure, VerdictTriggeredByFuzzing}
+
 // String renders the verdict.
 func (v Verdict) String() string {
 	switch v {
@@ -63,6 +67,9 @@ const (
 	// TypeFailure: verification failed.
 	TypeFailure
 )
+
+// ResultTypes lists every result type, as Verdicts lists every verdict.
+var ResultTypes = []ResultType{TypeI, TypeII, TypeIII, TypeFailure}
 
 // String renders the type the way Table II spells it.
 func (t ResultType) String() string {

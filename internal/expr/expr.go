@@ -517,6 +517,79 @@ func (e *Expr) Eval(lookup func(sym int) (uint64, bool)) (uint64, bool) {
 	}
 }
 
+// Residual evaluates e for every value of the symbol inner at once, with
+// every other symbol read through lookup as Eval reads it. When the result
+// does not depend on inner, konst is true and (v, ok) is exactly what Eval
+// returns for each of inner's values. Otherwise konst is false.
+//
+// Eval fails at a node when either operand fails, so a failing operand
+// that does not depend on inner fails the node for every value. A node
+// absorbs inner when one operand is a defined 0 and the node is And or
+// Mul, but only if the other operand can never fail: Eval would fail
+// there for the values that make it fail, not return 0.
+func (e *Expr) Residual(lookup func(sym int) (uint64, bool), inner int) (v uint64, ok, konst bool) {
+	v, ok, konst, _ = e.residual(lookup, inner)
+	return v, ok, konst
+}
+
+// residual is Residual that also reports, for a result that depends on
+// inner, whether some value of inner may make its evaluation fail.
+func (e *Expr) residual(lookup func(sym int) (uint64, bool), inner int) (v uint64, ok, konst, mayFail bool) {
+	switch e.Op {
+	case OpConst:
+		return e.Val, true, true, false
+	case OpSym:
+		if e.Sym == inner {
+			return 0, false, false, false
+		}
+		v, ok := lookup(e.Sym)
+		return v, ok, true, false
+	}
+	xv, xok, xk, xf := e.X.residual(lookup, inner)
+	if xk && !xok {
+		return 0, false, true, false
+	}
+	yv, yok, yk, yf := e.Y.residual(lookup, inner)
+	if yk && !yok {
+		return 0, false, true, false
+	}
+	if xk && yk {
+		v, ok := Apply(e.Op, xv, yv)
+		return v, ok, true, false
+	}
+	switch e.Op {
+	case OpAnd, OpMul:
+		if (xk && xv == 0 && !yf) || (yk && yv == 0 && !xf) {
+			return 0, true, true, false
+		}
+	case OpDiv, OpMod:
+		if yk && yv == 0 {
+			return 0, false, true, false
+		}
+		if !yk {
+			yf = true
+		}
+	}
+	return 0, false, false, xf || yf
+}
+
+// MayAbsorb reports whether e holds an And or Mul node with two
+// non-constant operands: the only nodes at which Residual can find a
+// defined value that does not depend on a symbol of e. In a tree built by
+// Bin a constant operand of either is never 0, because Bin folds that
+// node away; for other trees MayAbsorb may miss a fold, never invent one.
+func (e *Expr) MayAbsorb() bool {
+	switch e.Op {
+	case OpConst, OpSym:
+		return false
+	case OpAnd, OpMul:
+		if e.X.Op != OpConst && e.Y.Op != OpConst {
+			return true
+		}
+	}
+	return e.X.MayAbsorb() || e.Y.MayAbsorb()
+}
+
 // EvalConcrete evaluates e under a total assignment given as a byte slice
 // indexed by symbol; out-of-range symbols read as 0.
 func (e *Expr) EvalConcrete(input []byte) uint64 {

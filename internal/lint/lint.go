@@ -9,8 +9,9 @@
 // emitted event type must be an Ev* constant with a registry entry, and
 // OpClass requires every switch over an ISA opcode family in the
 // interpreter-shaped packages to be exhaustive or carry an explicit default
-// clause. The suite runs three ways: as the doccheck test, as `go vet
-// -vettool=octolint` in CI, and directly via RunDir in tests.
+// clause. The suite runs two ways: as `go vet -vettool=octolint` in CI,
+// and via RunDir in TestRepoIsClean, which checks every internal package
+// under a plain `go test ./...`.
 //
 // Concurrency: analyses are read-only over parsed ASTs and keep no shared
 // state; any number of Run calls may execute concurrently as long as each

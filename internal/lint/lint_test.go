@@ -214,9 +214,10 @@ func main() {}
 	}
 }
 
-// TestRepoIsClean runs the whole suite over every internal package: the
-// shipped tree must produce zero findings, so a regression in either
-// contract fails this test even before CI's vettool step runs.
+// TestRepoIsClean runs the whole suite over every internal package, one
+// subtest per package: the shipped tree must produce zero findings, so a
+// regression in any contract, the phasedoc documentation contract
+// included, fails this test even before CI's vettool step runs.
 func TestRepoIsClean(t *testing.T) {
 	_, self, _, ok := runtime.Caller(0)
 	if !ok {
@@ -232,14 +233,17 @@ func TestRepoIsClean(t *testing.T) {
 		if !e.IsDir() {
 			continue
 		}
-		dir := filepath.Join(internal, e.Name())
-		diags, err := RunDir(dir, "octopocs/internal/"+e.Name(), All)
-		if err != nil {
-			t.Fatalf("RunDir %s: %v", dir, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s", d)
-		}
+		pkg := e.Name()
+		t.Run(pkg, func(t *testing.T) {
+			dir := filepath.Join(internal, pkg)
+			diags, err := RunDir(dir, "octopocs/internal/"+pkg, All)
+			if err != nil {
+				t.Fatalf("RunDir %s: %v", dir, err)
+			}
+			for _, d := range diags {
+				t.Errorf("%s", d)
+			}
+		})
 		checked++
 	}
 	if checked < 15 {

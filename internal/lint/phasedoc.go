@@ -6,8 +6,7 @@ import (
 )
 
 // phaseRef matches a reference to a paper phase: "P1".."P4", including
-// compounds like "P1–P4" or "P3.3". Kept in sync with internal/doccheck,
-// which enforces the same contract as a plain test.
+// compounds like "P1–P4" or "P3.3".
 var phaseRef = regexp.MustCompile(`\bP[1-4]\b`)
 
 // concurrencyRef matches the "Concurrency:" contract paragraph marker.

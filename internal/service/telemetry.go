@@ -51,14 +51,14 @@ func newServiceMetrics(s *Service, reg *telemetry.Registry) *serviceMetrics {
 			"Jobs cancelled or timed out.", nil),
 		queueWait: reg.Histogram("octopocs_queue_wait_seconds",
 			"Time jobs spent queued before a worker picked them up.", nil, nil),
-		verdicts: make(map[core.Verdict]*telemetry.Counter, 3),
-		types:    make(map[core.ResultType]*telemetry.Counter, 4),
+		verdicts: make(map[core.Verdict]*telemetry.Counter, len(core.Verdicts)),
+		types:    make(map[core.ResultType]*telemetry.Counter, len(core.ResultTypes)),
 	}
-	for _, v := range []core.Verdict{core.VerdictTriggered, core.VerdictNotTriggerable, core.VerdictFailure} {
+	for _, v := range core.Verdicts {
 		m.verdicts[v] = reg.Counter("octopocs_verdicts_total",
 			"Completed-job verdicts.", telemetry.Labels{"verdict": v.String()})
 	}
-	for _, t := range []core.ResultType{core.TypeI, core.TypeII, core.TypeIII, core.TypeFailure} {
+	for _, t := range core.ResultTypes {
 		m.types[t] = reg.Counter("octopocs_result_types_total",
 			"Completed-job Table II result types.", telemetry.Labels{"type": t.String()})
 	}

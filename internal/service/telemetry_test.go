@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -259,6 +260,18 @@ func TestSatCacheHitsAcrossJobs(t *testing.T) {
 		t.Fatalf("no sat-cache hits after identical resubmission: %+v", stats)
 	}
 
+	text := scrapeMetrics(t, svc)
+	if !strings.Contains(text, "octopocs_solver_sat_cache_hits_total") {
+		t.Error("exposition missing octopocs_solver_sat_cache_hits_total")
+	}
+	if strings.Contains(text, "octopocs_solver_sat_cache_hits_total 0\n") {
+		t.Error("sat-cache hit counter is zero in /metrics")
+	}
+}
+
+// scrapeMetrics returns the service's /metrics exposition.
+func scrapeMetrics(t *testing.T, svc *service.Service) string {
+	t.Helper()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -270,11 +283,27 @@ func TestSatCacheHitsAcrossJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(body)
-	if !strings.Contains(text, "octopocs_solver_sat_cache_hits_total") {
-		t.Error("exposition missing octopocs_solver_sat_cache_hits_total")
+	return string(body)
+}
+
+// TestVerdictMetricCountsFuzzing: every verdict has an
+// octopocs_verdicts_total series, and a hybrid rescue counts under its own
+// verdict. Row 19 ends triggered-by-fuzzing with every optional layer on.
+func TestVerdictMetricCountsFuzzing(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1,
+		Pipeline: core.Config{StaticPrune: true, Absint: true, HybridFuzz: true}})
+	defer svc.Shutdown(context.Background())
+	if _, rep := runOne(t, svc, 19); rep.Verdict != core.VerdictTriggeredByFuzzing {
+		t.Fatalf("row 19 verdict %v, want %v", rep.Verdict, core.VerdictTriggeredByFuzzing)
 	}
-	if strings.Contains(text, "octopocs_solver_sat_cache_hits_total 0\n") {
-		t.Error("sat-cache hit counter is zero in /metrics")
+	text := scrapeMetrics(t, svc)
+	for _, v := range core.Verdicts {
+		want := 0
+		if v == core.VerdictTriggeredByFuzzing {
+			want = 1
+		}
+		if line := fmt.Sprintf(`octopocs_verdicts_total{verdict="%s"} %d`, v, want); !strings.Contains(text, line+"\n") {
+			t.Errorf("exposition missing %q", line)
+		}
 	}
 }

@@ -98,25 +98,30 @@ func errClass(err error) string {
 	return "other: " + err.Error()
 }
 
-// replayVariant is a solver configuration under differential test.
+// replayVariant is a solver configuration under differential test. Every
+// variant folds pair residuals, as production does, except where its
+// name says "no-fold".
 type replayVariant struct {
 	name     string
 	interval bool
+	fold     bool
 	memo     string // "off", "cold" (fresh Cache per solve) or "warm"
 }
 
 var replayVariants = []replayVariant{
-	{"interval", true, "off"},
-	{"interval+memo-cold", true, "cold"},
-	{"interval+memo-warm", true, "warm"},
-	{"memo-cold", false, "cold"},
-	{"memo-warm", false, "warm"},
+	{"fold", false, true, "off"},
+	{"interval+no-fold", true, false, "off"},
+	{"interval", true, true, "off"},
+	{"interval+memo-cold", true, true, "cold"},
+	{"interval+memo-warm", true, true, "warm"},
+	{"memo-cold", false, true, "cold"},
+	{"memo-warm", false, true, "warm"},
 }
 
 // solver returns the variant at budget; warm variants share warm, which
 // the caller has already filled by solving the same system.
 func (v replayVariant) solver(budget int64, warm *Cache) Solver {
-	s := Solver{Budget: budget, noInterval: !v.interval}
+	s := Solver{Budget: budget, noInterval: !v.interval, noFold: !v.fold}
 	switch v.memo {
 	case "cold":
 		s.Cache = NewCache(0)
@@ -126,15 +131,17 @@ func (v replayVariant) solver(budget int64, warm *Cache) Solver {
 	return s
 }
 
-// reference is plain enumeration: no interval pre-check, no memo.
+// reference is plain enumeration: no interval pre-check, no residual
+// fold, no memo.
 func reference(budget int64) Solver {
-	return Solver{Budget: budget, noInterval: true}
+	return Solver{Budget: budget, noInterval: true, noFold: true}
 }
 
-// FuzzSolverExactReplay checks that the interval pre-check and the
-// filter-outcome memo are exact: against plain enumeration, with the memo
-// off, cold and warm and the pre-check on and off, Solve returns the same
-// model and error class and Sat the same answer. At the budget B where
+// FuzzSolverExactReplay checks that the interval pre-check, the residual
+// fold and the filter-outcome memo are exact: against plain enumeration,
+// with the memo off, cold and warm and the other two on and off, Solve
+// returns the same model and error class and Sat the same answer. At the
+// budget B where
 // the reference first succeeds, every variant also succeeds at B and runs
 // out of budget at B-1 — the shortcuts charge exactly the evaluations
 // they save, so no budget boundary moves.
@@ -153,6 +160,12 @@ func FuzzSolverExactReplay(f *testing.F) {
 	// (s0*3)*(s1^0xaa)*(s3+(2^64-5)) <=u 0 ∧ s0+s0 == 0: three symbols
 	// folded by Mul, one through a wrapping sum.
 	f.Add([]byte{2, 0, 2, 3, 0, 1, 7, 0xaa, 0, 2, 3, 0, 4, 1, 2, 3, 0, 0, 1, 0, 0})
+	// ((s0>>7) & (s1&1)) != 0: row 3's shape, a conjunction whose left
+	// side is 0 for most values of s0, so the residual fold settles them.
+	f.Add([]byte{1, 0, 9, 7, 0, 1, 5, 1, 0, 5, 1, 0, 0})
+	// ((s0&0x80) & (100/s1)) != 0: the absorbed side divides by the inner
+	// symbol, so And by 0 must not fold while s1 can be 0.
+	f.Add([]byte{1, 0, 5, 0x80, 0, 0x81, 3, 100, 0, 5, 1, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cs := replaySystem(data)

@@ -16,19 +16,24 @@
 // sibling frontier states and across service jobs cheap.
 //
 // Enumeration defines every outcome, including how many evaluations it
-// charges the budget. Two shortcuts reproduce it without evaluating value
+// charges the budget. Three shortcuts reproduce it without evaluating value
 // by value. An interval pre-check (interval.go) bounds a constraint over
 // the box of its symbols' domains; when the bound proves it true or false
 // everywhere, the narrowed domains and the evaluation count enumeration
-// would reach are known in closed form. A filter-outcome memo (memo.go),
-// held in the Cache, replays a filtering pass whose exact input —
-// constraint, assigned values, unassigned domains — completed before.
-// Both charge their count through one helper that fails exactly when the
-// count exceeds what is left, which is exactly when enumeration would have
-// failed part-way; since ErrBudget aborts the whole solve from any point,
-// charging the total up front is indistinguishable. So every Solve and Sat
-// returns the same verdict, the same model and the same budget outcome
-// with or without the shortcuts, at every budget.
+// would reach are known in closed form. A residual fold (supported) fixes
+// one symbol of a pair at a time and evaluates the constraint with the
+// other left open (expr.Residual); when an And or Mul by 0 leaves a
+// result free of the open symbol, that fixed value is settled at once,
+// charged what scanning the open symbol's domain would charge. A
+// filter-outcome memo (memo.go), held in the Cache, replays a filtering
+// pass whose exact input — constraint, assigned values, unassigned
+// domains — completed before. All three charge their count through one
+// helper that fails exactly when the count exceeds what is left, which is
+// exactly when enumeration would have failed part-way; since ErrBudget
+// aborts the whole solve from any point, charging the total up front is
+// indistinguishable. So every Solve and Sat returns the same verdict, the
+// same model and the same budget outcome with or without the shortcuts,
+// at every budget.
 //
 // Concurrency: a Solver value is stateless between calls — each Solve
 // builds private search state — so one Solver may be used from many
@@ -99,10 +104,17 @@ type Solver struct {
 	// complement-short-circuit events. Nil (no-op) in production.
 	Journal *journal.Recorder
 
-	// noInterval switches off the interval pre-check, so tests can compare
-	// against plain enumeration; a nil Cache already switches off the memo.
+	// noInterval and noFold switch off the interval pre-check and the
+	// residual fold, so tests can compare against plain enumeration; a nil
+	// Cache already switches off the memo.
 	noInterval bool
+	noFold     bool
 }
+
+// testHook, when non-nil, sees the state of every solve once it is set up
+// (done false) and once it ends (done true). Tests use it to count
+// evaluations and to switch a shortcut off in solvers they cannot reach.
+var testHook func(st *state, done bool)
 
 // domain is a 256-bit set of candidate byte values.
 type domain [4]uint64
@@ -136,18 +148,21 @@ func (d *domain) last() byte {
 	return byte(w*64 + 63 - bits.LeadingZeros64(d[w]))
 }
 
-// values iterates the domain in ascending order.
-func (d *domain) values(yield func(byte) bool) {
+// next removes and returns the smallest value in the domain; ok is false
+// when it is empty. Iterating a copy with it visits the values in
+// ascending order:
+//
+//	rest := d
+//	for v, ok := rest.next(); ok; v, ok = rest.next() { ... }
+func (d *domain) next() (byte, bool) {
 	for w := 0; w < 4; w++ {
-		word := d[w]
-		for word != 0 {
-			v := byte(w*64 + bits.TrailingZeros64(word))
-			if !yield(v) {
-				return
-			}
-			word &= word - 1
+		if d[w] != 0 {
+			v := byte(w*64 + bits.TrailingZeros64(d[w]))
+			d[w] &= d[w] - 1
+			return v, true
 		}
 	}
+	return 0, false
 }
 
 // state is the mutable search state.
@@ -167,11 +182,33 @@ type state struct {
 	// watch[i] lists constraint indices mentioning symbol index i.
 	watch  [][]int
 	budget int64
+	// evaluated counts the constraint evaluations actually run, as
+	// opposed to the ones charged to the budget.
+	evaluated int64
 	// memo, when non-nil, replays filter outcomes (memo.go); sig is
 	// memoKey's scratch signature.
 	memo       *Cache
 	sig        []uint64
 	noInterval bool
+	noFold     bool
+
+	// Scratch space reused across calls, so that propagation, filtering
+	// and search allocate nothing per call: the propagation queue and its
+	// membership flags, filter's unassigned support and narrowed symbols,
+	// and search's snapshots, one per depth, shared by all the levels at
+	// that depth.
+	queue    []int
+	inQueue  []bool
+	un       [3]int
+	narrowed [2]int
+	saves    []snapshot
+}
+
+// snapshot is the search state a level starts from.
+type snapshot struct {
+	domains  []domain
+	assigned []bool
+	values   []byte
 }
 
 // assign sets symbol index si to v, updating both views.
@@ -211,10 +248,15 @@ func (s *Solver) solve(constraints []*expr.Expr, memo *Cache) (Model, error) {
 		symIdx:     make(map[int]int),
 		budget:     s.Budget,
 		noInterval: s.noInterval,
+		noFold:     s.noFold,
 		memo:       memo,
 	}
 	if st.budget <= 0 {
 		st.budget = DefaultBudget
+	}
+	if testHook != nil {
+		testHook(st, false)
+		defer testHook(st, true)
 	}
 
 	// Constant constraints decide immediately; others register.
@@ -277,6 +319,7 @@ func (s *Solver) solve(constraints []*expr.Expr, memo *Cache) (Model, error) {
 	st.assigned = make([]bool, n)
 	st.values = make([]byte, n)
 	st.watch = make([][]int, n)
+	st.inQueue = make([]bool, len(st.constraints))
 	for ci, sup := range st.support {
 		for _, sym := range sup {
 			si := st.symIdx[sym]
@@ -288,7 +331,7 @@ func (s *Solver) solve(constraints []*expr.Expr, memo *Cache) (Model, error) {
 	if err := st.propagateAll(); err != nil {
 		return nil, err
 	}
-	if err := st.search(); err != nil {
+	if err := st.search(0); err != nil {
 		return nil, err
 	}
 
@@ -309,13 +352,16 @@ func (st *state) lookup(sym int) (uint64, bool) {
 }
 
 // unassignedIn returns the indices (into st.syms) of unassigned symbols in
-// the constraint's support.
+// the constraint's support, in support order. It stops at three, which
+// filtering treats like any larger count, and returns st.un's storage.
 func (st *state) unassignedIn(ci int) []int {
-	var out []int
+	out := st.un[:0]
 	for _, sym := range st.support[ci] {
 		si := st.symIdx[sym]
 		if !st.assigned[si] {
-			out = append(out, si)
+			if out = append(out, si); len(out) == len(st.un) {
+				break
+			}
 		}
 	}
 	return out
@@ -337,6 +383,7 @@ func (st *state) checkConstraint(ci int) (bool, bool, error) {
 	if err := st.charge(1); err != nil {
 		return false, false, err
 	}
+	st.evaluated++
 	v, ok := st.constraints[ci].Eval(st.lookup)
 	if !ok {
 		return false, false, nil
@@ -346,24 +393,23 @@ func (st *state) checkConstraint(ci int) (bool, bool, error) {
 
 // propagateAll runs constraint filtering to fixpoint over every constraint.
 func (st *state) propagateAll() error {
-	queue := make([]int, len(st.constraints))
-	for i := range queue {
-		queue[i] = i
+	st.queue = st.queue[:0]
+	for ci := range st.constraints {
+		st.queue = append(st.queue, ci)
 	}
-	return st.propagate(queue)
+	return st.propagate()
 }
 
-// propagate filters domains using the queued constraints, enqueueing
+// propagate filters domains using the constraints in st.queue, enqueueing
 // neighbors of narrowed symbols, until fixpoint or wipeout.
-func (st *state) propagate(queue []int) error {
-	inQueue := make(map[int]bool, len(queue))
-	for _, ci := range queue {
-		inQueue[ci] = true
+func (st *state) propagate() error {
+	clear(st.inQueue)
+	for _, ci := range st.queue {
+		st.inQueue[ci] = true
 	}
-	for len(queue) > 0 {
-		ci := queue[0]
-		queue = queue[1:]
-		delete(inQueue, ci)
+	for head := 0; head < len(st.queue); head++ {
+		ci := st.queue[head]
+		st.inQueue[ci] = false
 
 		narrowed, err := st.filter(ci)
 		if err != nil {
@@ -379,9 +425,9 @@ func (st *state) propagate(queue []int) error {
 				st.assign(si, v)
 			}
 			for _, next := range st.watch[si] {
-				if !inQueue[next] {
-					inQueue[next] = true
-					queue = append(queue, next)
+				if !st.inQueue[next] {
+					st.inQueue[next] = true
+					st.queue = append(st.queue, next)
 				}
 			}
 		}
@@ -454,7 +500,7 @@ func (st *state) replay(un []int, o outcome) ([]int, error) {
 	if err := st.charge(o.evals); err != nil {
 		return nil, err
 	}
-	var narrowed []int
+	narrowed := st.narrowed[:0]
 	for i, si := range un {
 		if st.domains[si] != o.doms[i] {
 			st.domains[si] = o.doms[i]
@@ -468,24 +514,22 @@ func (st *state) replay(un []int, o outcome) ([]int, error) {
 // which constraint ci is decidably false.
 func (st *state) filterOne(ci, si int) ([]int, error) {
 	d := st.domains[si]
-	var iterErr error
-	d.values(func(v byte) bool {
+	rest := d
+	for v, more := rest.next(); more; v, more = rest.next() {
 		st.assign(si, v)
 		sat, decidable, err := st.checkConstraint(ci)
 		st.unassign(si)
 		if err != nil {
-			iterErr = err
-			return false
+			return nil, err
 		}
 		if decidable && !sat {
 			st.domains[si].remove(v)
 		}
-		return true
-	})
-	if iterErr != nil || st.domains[si] == d {
-		return nil, iterErr
 	}
-	return []int{si}, nil
+	if st.domains[si] == d {
+		return nil, nil
+	}
+	return append(st.narrowed[:0], si), nil
 }
 
 // filterPair removes values of the two unassigned symbols that participate
@@ -494,39 +538,15 @@ func (st *state) filterOne(ci, si int) ([]int, error) {
 // constraints cost O(|domain|) while genuinely tight ones still get full
 // pruning.
 func (st *state) filterPair(ci, a, b int) ([]int, error) {
-	supported := func(x, y int) (domain, error) {
-		var ok domain
-		var iterErr error
-		st.domains[x].values(func(vx byte) bool {
-			st.assign(x, vx)
-			st.domains[y].values(func(vy byte) bool {
-				st.assign(y, vy)
-				sat, decidable, err := st.checkConstraint(ci)
-				st.unassign(y)
-				if err != nil {
-					iterErr = err
-					return false
-				}
-				if !decidable || sat {
-					ok[vx>>6] |= 1 << (vx & 63)
-					return false // first support suffices
-				}
-				return true
-			})
-			st.unassign(x)
-			return iterErr == nil
-		})
-		return ok, iterErr
-	}
-	okA, err := supported(a, b)
+	okA, err := st.supported(ci, a, b)
 	if err != nil {
 		return nil, err
 	}
-	okB, err := supported(b, a)
+	okB, err := st.supported(ci, b, a)
 	if err != nil {
 		return nil, err
 	}
-	var narrowed []int
+	narrowed := st.narrowed[:0]
 	if intersect(&st.domains[a], &okA) {
 		narrowed = append(narrowed, a)
 	}
@@ -534,6 +554,59 @@ func (st *state) filterPair(ci, a, b int) ([]int, error) {
 		narrowed = append(narrowed, b)
 	}
 	return narrowed, nil
+}
+
+// supported returns the values of x's domain that constraint ci holds (or
+// cannot be decided) for with some value of y's domain, scanning y in
+// ascending order and stopping at the first such value.
+//
+// Once x is fixed, a constraint that can absorb y (expr.MayAbsorb) may no
+// longer depend on y at all. Its residual then settles x's value in closed
+// form, charged as the scan would charge it: a constant 0 fails at every
+// value of y, |D_y| evaluations and no support; a constant non-zero or
+// undefined result is a support at the first value, one evaluation.
+func (st *state) supported(ci, x, y int) (domain, error) {
+	c := st.constraints[ci]
+	inner := st.syms[y]
+	ny := int64(st.domains[y].count())
+	fold := !st.noFold && ny > 0 && c.MayAbsorb()
+	var ok domain
+	xs := st.domains[x]
+	for vx, more := xs.next(); more; vx, more = xs.next() {
+		st.assign(x, vx)
+		if fold {
+			if v, defined, konst := c.Residual(st.lookup, inner); konst {
+				st.unassign(x)
+				if defined && v == 0 {
+					if err := st.charge(ny); err != nil {
+						return ok, err
+					}
+					continue
+				}
+				if err := st.charge(1); err != nil {
+					return ok, err
+				}
+				ok[vx>>6] |= 1 << (vx & 63)
+				continue
+			}
+		}
+		ys := st.domains[y]
+		for vy, more := ys.next(); more; vy, more = ys.next() {
+			st.assign(y, vy)
+			sat, decidable, err := st.checkConstraint(ci)
+			st.unassign(y)
+			if err != nil {
+				st.unassign(x)
+				return ok, err
+			}
+			if !decidable || sat {
+				ok[vx>>6] |= 1 << (vx & 63)
+				break // first support suffices
+			}
+		}
+		st.unassign(x)
+	}
+	return ok, nil
 }
 
 // intersect ands ok into d and reports whether d changed.
@@ -549,63 +622,47 @@ func intersect(d, ok *domain) bool {
 	return changed
 }
 
-// search assigns remaining symbols by backtracking.
-func (st *state) search() error {
+// search assigns remaining symbols by backtracking, depth levels deep
+// already. Each level snapshots the state it starts from once and restores
+// it after every value that fails.
+func (st *state) search(depth int) error {
 	si := st.pickVar()
 	if si < 0 {
 		return st.verifyAll()
 	}
 
-	saveDomains := make([]domain, len(st.domains))
-	saveAssigned := make([]bool, len(st.assigned))
-	saveValues := make([]byte, len(st.values))
-	saveAssignedSym := make([]bool, len(st.assignedSym))
-	saveValueSym := make([]byte, len(st.valueSym))
+	if depth == len(st.saves) {
+		n := len(st.syms)
+		st.saves = append(st.saves, snapshot{make([]domain, n), make([]bool, n), make([]byte, n)})
+	}
+	save := st.saves[depth]
+	copy(save.domains, st.domains)
+	copy(save.assigned, st.assigned)
+	copy(save.values, st.values)
 
 	var lastErr error = ErrUnsat
-	tryVal := func(v byte) (bool, error) {
-		copy(saveDomains, st.domains)
-		copy(saveAssigned, st.assigned)
-		copy(saveValues, st.values)
-		copy(saveAssignedSym, st.assignedSym)
-		copy(saveValueSym, st.valueSym)
-
+	rest := st.domains[si]
+	for v, more := rest.next(); more; v, more = rest.next() {
 		st.assign(si, v)
-		err := st.propagate(append([]int(nil), st.watch[si]...))
+		st.queue = append(st.queue[:0], st.watch[si]...)
+		err := st.propagate()
 		if err == nil {
-			err = st.search()
+			err = st.search(depth + 1)
 		}
 		if err == nil {
-			return true, nil
+			return nil
 		}
-		copy(st.domains, saveDomains)
-		copy(st.assigned, saveAssigned)
-		copy(st.values, saveValues)
-		copy(st.assignedSym, saveAssignedSym)
-		copy(st.valueSym, saveValueSym)
+		copy(st.domains, save.domains)
+		copy(st.assigned, save.assigned)
+		copy(st.values, save.values)
+		for i, sym := range st.syms {
+			st.assignedSym[sym] = st.assigned[i]
+			st.valueSym[sym] = st.values[i]
+		}
 		if errors.Is(err, ErrBudget) {
-			return false, err
+			return err
 		}
 		lastErr = err
-		return false, nil
-	}
-
-	var done bool
-	var fatal error
-	st.domains[si].values(func(v byte) bool {
-		ok, err := tryVal(v)
-		if err != nil {
-			fatal = err
-			return false
-		}
-		done = ok
-		return !ok
-	})
-	if fatal != nil {
-		return fatal
-	}
-	if done {
-		return nil
 	}
 	return lastErr
 }

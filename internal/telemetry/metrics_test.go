@@ -84,6 +84,22 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestDurationBucketsResolveSubMillisecond: on the default layout, 100
+// observations of 0.2 ms, the corpus's fastest phases, give a p50 and a p99
+// within [0.1, 0.25] ms, the bucket that holds them. A first bucket of
+// (0, 0.5] ms would put the p99 at 0.495 ms.
+func TestDurationBucketsResolveSubMillisecond(t *testing.T) {
+	h := NewHistogram(DurationBuckets)
+	for i := 0; i < 100; i++ {
+		h.ObserveDuration(200 * time.Microsecond)
+	}
+	for _, q := range []float64{0.5, 0.99} {
+		if got := h.Quantile(q); got < 0.0001 || got > 0.00025 {
+			t.Errorf("q%v = %v s, want within [0.1, 0.25] ms", q, got)
+		}
+	}
+}
+
 func TestHistogramObserveDuration(t *testing.T) {
 	h := NewHistogram(DurationBuckets)
 	h.ObserveDuration(50 * time.Millisecond)
