@@ -61,8 +61,8 @@ func run(args []string) error {
 		pocOut      = fs.String("poc", "", "write the reformed PoC to this file")
 		contextFree = fs.Bool("context-free", false, "disable context-aware taint analysis")
 		staticCFG   = fs.Bool("static-cfg", false, "disable dynamic CFG discovery")
-		static      = fs.Bool("static", false, "enable the static pre-analysis (MIR verifier, constant folding, dead-block pruning, statically-unreachable short-circuit)")
-		absintOn    = fs.Bool("absint", false, "enable abstract-interpretation value ranges: branch oracle for symbolic execution, plus stronger pruning with -static")
+		static      = fs.Bool("static", false, "enable the static pre-analysis (MIR verifier, value-range branch folding, dead-block pruning, statically-unreachable short-circuit)")
+		absintOn    = fs.Bool("absint", false, "enable abstract-interpretation value ranges as a cached phase: branch oracle for symbolic execution, shared with -static pruning")
 		hybridOn    = fs.Bool("hybrid", false, "enable the directed-fuzzing fallback: rescue theta- and budget-exhausted symex outcomes with a replay-confirmed campaign crash (verdict triggered-by-fuzzing)")
 		verbose     = fs.Bool("v", false, "print crash primitives and crash details")
 		workers     = fs.Int("workers", 0, "with -all: verify pairs concurrently with this many service workers (0 = sequential)")

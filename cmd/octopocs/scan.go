@@ -23,7 +23,7 @@ import (
 func runScan(args []string) error {
 	fs := flag.NewFlagSet("octopocs scan", flag.ContinueOnError)
 	var (
-		source       = fs.Int("source", 0, "corpus row (1-17) whose CVE to scan for")
+		source       = fs.Int("source", 0, "corpus row (1-21) whose CVE to scan for")
 		allSources   = fs.Bool("all-sources", false, "scan every corpus CVE")
 		retrieveOnly = fs.Bool("retrieve-only", false, "rank candidates without verifying them")
 		findEp       = fs.Bool("find-ep", false, "derive the entry point from the S crash and anchor candidates on it")
@@ -49,7 +49,7 @@ func runScan(args []string) error {
 		}
 	case *source != 0:
 		if corpus.ByIdx(*source) == nil {
-			return fmt.Errorf("no corpus pair with index %d (valid: 1-17)", *source)
+			return fmt.Errorf("no corpus pair with index %d (valid: 1-21)", *source)
 		}
 		sources = []int{*source}
 	default:

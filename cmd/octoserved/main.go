@@ -69,7 +69,7 @@ func run(args []string, logOut *os.File) error {
 	drain := fs.Duration("drain", 30*time.Second, "max time to drain in-flight jobs on shutdown")
 	traces := fs.Int("traces", 0, "retained finished job traces (0 = default, negative disables)")
 	static := fs.Bool("static", false, "enable the static pre-analysis for all jobs (per-job \"static\" field overrides)")
-	absintOn := fs.Bool("absint", false, "enable abstract-interpretation value ranges for all jobs: branch oracle for symbolic execution, plus stronger pruning with -static")
+	absintOn := fs.Bool("absint", false, "enable abstract-interpretation value ranges as a cached phase for all jobs: branch oracle for symbolic execution, shared with -static pruning")
 	hybridOn := fs.Bool("hybrid", false, "enable the directed-fuzzing fallback for all jobs: rescue theta- and budget-exhausted symex outcomes with a replay-confirmed campaign crash")
 	journalCap := fs.Int("journal", 0, "events retained per job provenance journal (0 = default, negative disables journaling)")
 	storeDir := fs.String("store-dir", "", "persistent artifact store directory; empty runs memory-only")

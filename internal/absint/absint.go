@@ -3,11 +3,11 @@
 // reduced product of an unsigned interval domain and a congruence domain
 // (value ≡ R mod M), with sound joins and widening at loop heads.
 //
-// The results strengthen the P2 preparation twice over: mirstatic folds
-// branches the reduced product proves one-sided (beyond plain constant
-// propagation, e.g. x&1 == 0 after an even-stride loop), and symex consults
-// the per-branch proofs as a static oracle that discharges feasibility
-// checks before the solver ever runs. Transfer functions cover the full
+// The results serve the P2 preparation twice over: they are the one source
+// of mirstatic's branch folds and dead blocks (constants, and beyond them
+// e.g. x&1 == 0 after an even-stride loop), and symex consults the
+// per-branch proofs as a static oracle that discharges feasibility checks
+// before the solver ever runs. Transfer functions cover the full
 // ISA; anything unknown widens to ⊤ and the analysis never kills a path,
 // so a ⊤-respecting consumer can only skip work, never change a verdict.
 // P1, P3 and P4 are untouched.

@@ -189,7 +189,53 @@ func analyzeFunc(f *isa.Function) *FuncRanges {
 			fr.Branch[b] = term.ElseIdx
 		}
 	}
+	fr.dropUnprovedReach()
 	return fr
+}
+
+// dropUnprovedReach keeps only the blocks reachable from the entry along
+// the final proved edges. The fixpoint can reach a block through an edge
+// that an earlier, smaller state left open and the final state proves
+// never taken (a Div or Mod whose divisor is the zero-initialized register
+// on the first visit, say). Such a block has no concrete execution, so it
+// loses its entry state and its branch proof; liveness and folded branches
+// then agree, which is what the static pruning that reads them relies on.
+func (fr *FuncRanges) dropUnprovedReach() {
+	n := len(fr.Entry)
+	if n == 0 {
+		return
+	}
+	reach := make([]bool, n)
+	reach[0] = true
+	work := []int{0}
+	visit := func(to int) {
+		if !reach[to] && fr.Entry[to] != nil {
+			reach[to] = true
+			work = append(work, to)
+		}
+	}
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		term := fr.Fn.Blocks[b].Terminator()
+		switch {
+		case term.Op == isa.OpJmp:
+			visit(term.ThenIdx)
+		case term.Op == isa.OpBr && fr.Branch[b] >= 0:
+			visit(fr.Branch[b])
+		case term.Op == isa.OpBr:
+			visit(term.ThenIdx)
+			visit(term.ElseIdx)
+		default:
+			// Ret, Trap and exiting syscalls have no successors.
+		}
+	}
+	for b := range reach {
+		if !reach[b] {
+			fr.Entry[b] = nil
+			fr.Branch[b] = -1
+		}
+	}
 }
 
 // transfer applies one instruction to the abstract register file. Every

@@ -4,8 +4,11 @@ package absint_test
 // interval∧congruence domain: decode the fuzz bytes into a random (but
 // well-formed) MIR program, run the abstract interpretation once, then run
 // the concrete VM on a random input and assert that every register value
-// observed at every block entry lies inside the computed abstraction — and
-// that no concretely-entered block was proven unreachable.
+// observed at every block entry lies inside the computed abstraction, that
+// no concretely-entered block was proven unreachable, and that every
+// executed conditional branch with a proved successor went to it. These
+// are exactly the facts the static pruning of internal/mirstatic folds, so
+// this target guards all of it.
 
 import (
 	"testing"
@@ -112,15 +115,38 @@ func buildFuzzProgram(data []byte) *isa.Program {
 	return b.MustBuild()
 }
 
+// parityGuardSeed decodes to an even-stride loop (i from 0 by 2 while
+// i < 20) followed by a guard on (i & 1) != 0 around a syscall: a flat
+// constant lattice cannot decide the guard, the congruence domain proves it
+// false.
+var parityGuardSeed = []byte{
+	3,              // r0 = const 3
+	6, 0, 20, 1, 0, // loop: i = 0, limit 20, stride 2, empty body
+	2, 5, 1, 1, // a = i & 1
+	4, 1, 2, 0, // c = a != 0
+	5, 1, 3, 7, // if c { sys arglen }
+}
+
+// TestParityGuardSeed pins what FuzzAbsintVsConcrete's parity-guard seed
+// decodes to: a branch the analysis proves, guarding a block it proves
+// unreachable.
+func TestParityGuardSeed(t *testing.T) {
+	res := absint.Analyze(buildFuzzProgram(parityGuardSeed))
+	if res.Summary.ProvedBranches == 0 || res.Summary.Unreachable == 0 {
+		t.Fatalf("parity guard not proved: %v", res.Summary)
+	}
+}
+
 func FuzzAbsintVsConcrete(f *testing.F) {
 	// Seed corpus: arithmetic chains, an even-stride loop, nested control
-	// flow, memory round trips, and a payload that exercises every opcode
-	// class at least once.
+	// flow, memory round trips, a payload that exercises every opcode class
+	// at least once, and the parity guard (see parityGuardSeed).
 	f.Add([]byte{7, 0, 10, 0, 1, 1, 2, 3}, []byte{1, 2, 3, 4})
 	f.Add([]byte{9, 6, 0, 20, 2, 1, 2, 5, 1, 3, 3, 7}, []byte{0xff, 0x00})
 	f.Add([]byte{3, 5, 2, 1, 4, 9, 5, 1, 6, 0, 16, 2, 0}, []byte{42})
 	f.Add([]byte{11, 8, 0, 8, 1, 8, 2, 5, 8, 1, 7, 4, 4}, []byte{})
 	f.Add([]byte{2, 1, 9, 2, 2, 7, 1, 4, 2, 3, 6, 1, 30, 3, 1, 0, 8, 0}, []byte{9, 9})
+	f.Add(parityGuardSeed, []byte{1})
 
 	f.Fuzz(func(t *testing.T, progData, input []byte) {
 		if len(progData) > 1<<10 || len(input) > 1<<10 {
@@ -129,7 +155,23 @@ func FuzzAbsintVsConcrete(f *testing.F) {
 		prog := buildFuzzProgram(progData)
 		res := absint.Analyze(prog)
 
+		// proved is the successor the last executed conditional branch must
+		// take, checked at the next instruction (the successor's first; a
+		// branch transfers control within its frame). -1: nothing pending.
+		proved, from := -1, isa.Loc{}
 		hooks := &vm.Hooks{
+			OnInst: func(loc isa.Loc, _ uint64, in *isa.Inst) {
+				if proved >= 0 && (loc.Func != from.Func || loc.Block != proved) {
+					t.Errorf("branch at %s went to %s/%d; the analysis proved it goes to %d",
+						from, loc.Func, loc.Block, proved)
+				}
+				proved = -1
+				if in.Op == isa.OpBr {
+					if taken, ok := res.BranchProved(loc.Func, loc.Block); ok {
+						proved, from = taken, loc
+					}
+				}
+			},
 			OnBlockRegs: func(fn string, block int, regs []uint64) {
 				st := res.BlockEntry(fn, block)
 				if st == nil {

@@ -16,8 +16,8 @@ type Metrics struct {
 	// post-TopK).
 	CandidatesRanked *telemetry.Counter
 	// Confirmed counts candidates whose verification verdict was
-	// triggered; Refuted counts not-triggerable verdicts. Failed
-	// verifications count toward neither.
+	// triggered or triggered-by-fuzzing; Refuted counts not-triggerable
+	// verdicts. Failed verifications count toward neither.
 	Confirmed *telemetry.Counter
 	Refuted   *telemetry.Counter
 }

@@ -54,10 +54,6 @@ type P2Artifact struct {
 	// without access to the key's preimage.
 	Ep     string
 	Pruned bool
-	// Absint records whether the pruned view was strengthened with
-	// abstract-interpretation value ranges. Only meaningful when Pruned is
-	// set; like Ep and Pruned it is carried for the disk codec.
-	Absint bool
 }
 
 // Artifact-cache classes: the keys of the map handed to SetCaches, and the
@@ -134,14 +130,17 @@ func (p *Pipeline) p1Key(pair *Pair) string {
 
 // p2Key derives the content address of the T-side preparation artifact:
 // the T program, the target ep, every knob the dynamic CFG discovery pass
-// reads (symbolic input size, step budget, solver budget, and whether
-// discovery is disabled outright), whether the graph was built over the
-// statically pruned CFG view, and whether that view was strengthened with
-// abstract-interpretation value ranges.
-func (p *Pipeline) p2Key(pair *Pair, ep string, pruned, absint bool) string {
+// reads (symbolic input size and step budget, and whether discovery is
+// disabled outright), and whether the graph was built over the statically
+// pruned CFG view.
+//
+// "sat:0" and "absint:" (which repeats the pruned flag) are fixed fields:
+// they keep keys byte-identical to those of stores written while the solver
+// budget was a setting and a pruned view could lack the absint folds.
+func (p *Pipeline) p2Key(pair *Pair, ep string, pruned bool) string {
 	h := sha256.New()
 	io.WriteString(h, asm.Format(pair.T))
-	fmt.Fprintf(h, "|ep:%s|static:%v|insize:%d|steps:%d|sat:%d|prune:%v|absint:%v",
-		ep, p.cfg.StaticCFGOnly, p.discoverInputSize(pair), p.maxSteps(pair), p.cfg.SatBudget, pruned, absint)
+	fmt.Fprintf(h, "|ep:%s|static:%v|insize:%d|steps:%d|sat:0|prune:%v|absint:%v",
+		ep, p.cfg.StaticCFGOnly, p.discoverInputSize(pair), p.maxSteps(pair), pruned, pruned)
 	return "p2:" + hex.EncodeToString(h.Sum(nil))
 }

@@ -20,7 +20,6 @@ import (
 	"octopocs/internal/asm"
 	"octopocs/internal/cfg"
 	"octopocs/internal/hybrid"
-	"octopocs/internal/isa"
 	"octopocs/internal/mirstatic"
 	"octopocs/internal/vm"
 )
@@ -72,7 +71,6 @@ type p2Wire struct {
 	T        string             `json:"t"`
 	Ep       string             `json:"ep"`
 	Pruned   bool               `json:"pruned"`
-	Absint   bool               `json:"absint,omitempty"`
 	Observed []cfg.ObservedEdge `json:"observed,omitempty"`
 	HasDist  bool               `json:"has_dist"`
 }
@@ -90,7 +88,6 @@ func (P2Codec) Encode(v any) ([]byte, error) {
 		T:        asm.Format(art.Graph.Prog),
 		Ep:       art.Ep,
 		Pruned:   art.Pruned,
-		Absint:   art.Absint,
 		Observed: art.Graph.ObservedEdges(),
 		HasDist:  art.Dist != nil,
 	})
@@ -108,7 +105,7 @@ func (P2Codec) Decode(data []byte) (any, error) {
 	}
 	var pruner cfg.Pruner
 	if w.Pruned {
-		sa, aerr := mirstatic.Analyze(prog, rangesIf(w.Absint, prog))
+		sa, aerr := mirstatic.Analyze(prog, nil)
 		if aerr != nil {
 			return nil, fmt.Errorf("core: p2 codec: reanalyze T: %w", aerr)
 		}
@@ -118,7 +115,7 @@ func (P2Codec) Decode(data []byte) (any, error) {
 	for _, e := range w.Observed {
 		graph.ObserveCall(e.Site, e.Callee)
 	}
-	art := &P2Artifact{Graph: graph, Ep: w.Ep, Pruned: w.Pruned, Absint: w.Absint}
+	art := &P2Artifact{Graph: graph, Ep: w.Ep, Pruned: w.Pruned}
 	if w.HasDist {
 		art.Dist = graph.DistancesTo(w.Ep)
 	}
@@ -160,8 +157,7 @@ type StaticCodec struct{}
 
 // staticWire is the on-disk form of a static pre-analysis.
 type staticWire struct {
-	T      string `json:"t"`
-	Absint bool   `json:"absint,omitempty"`
+	T string `json:"t"`
 }
 
 // Encode marshals a *mirstatic.Analysis.
@@ -170,7 +166,7 @@ func (StaticCodec) Encode(v any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: static codec: unexpected value type %T", v)
 	}
-	return json.Marshal(staticWire{T: asm.Format(sa.Prog), Absint: sa.Ranges != nil})
+	return json.Marshal(staticWire{T: asm.Format(sa.Prog)})
 }
 
 // Decode re-derives a *mirstatic.Analysis from the stored program text.
@@ -183,7 +179,7 @@ func (StaticCodec) Decode(data []byte) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: static codec: parse T: %w", err)
 	}
-	sa, err := mirstatic.Analyze(prog, rangesIf(w.Absint, prog))
+	sa, err := mirstatic.Analyze(prog, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: static codec: reanalyze T: %w", err)
 	}
@@ -220,13 +216,4 @@ func (AbsintCodec) Decode(data []byte) (any, error) {
 		return nil, fmt.Errorf("core: absint codec: parse T: %w", err)
 	}
 	return absint.Analyze(prog), nil
-}
-
-// rangesIf re-derives the value ranges a decoded static analysis was
-// strengthened with: absint.Analyze(prog) when on, nil otherwise.
-func rangesIf(on bool, prog *isa.Program) *absint.Result {
-	if !on {
-		return nil
-	}
-	return absint.Analyze(prog)
 }

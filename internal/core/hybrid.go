@@ -41,7 +41,7 @@ func (p *Pipeline) partialSeed(constraints []*expr.Expr, inputSize int, reason R
 	if !p.cfg.HybridFuzz || !hybridEligible(reason) || len(constraints) == 0 {
 		return nil
 	}
-	sol := solver.Solver{Budget: p.cfg.SatBudget, Metrics: p.cfg.Metrics.solverSink(), Cache: p.satCache}
+	sol := solver.Solver{Metrics: p.cfg.Metrics.solverSink(), Cache: p.satCache}
 	model, err := sol.Solve(constraints)
 	if err != nil {
 		return nil

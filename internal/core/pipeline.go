@@ -26,10 +26,6 @@ import (
 type Config struct {
 	// Theta is the loop-iteration bound θ (default 120, § IV-B).
 	Theta int
-	// MaxSteps is the per-run instruction budget.
-	MaxSteps int64
-	// SatBudget is the per-check solver budget.
-	SatBudget int64
 	// ContextFree disables context-aware taint analysis (Table III
 	// baseline).
 	ContextFree bool
@@ -37,25 +33,27 @@ type Config struct {
 	// using the static CFG as a fallback option).
 	StaticCFGOnly bool
 	// StaticPrune enables the static pre-analysis of T before P2: the MIR
-	// verifier, constant folding with dead-block elimination, and dominator
-	// computation. When the verified T provably cannot reach ep — even with
-	// every unresolved indirect call over-approximated as may-call-anything
-	// — the pipeline short-circuits to a sound statically-unreachable
-	// verdict without running symbolic execution; otherwise the pruned CFG
-	// view is fed to the distance maps and the symex frontier so provably
-	// dead branches are never scheduled. Pruning never changes a verdict or
-	// the poc' bytes: a statically dead direction is semantically
-	// infeasible, so the only thing skipped is its SAT refutation.
+	// verifier, branch folding with dead-block elimination from the
+	// interval∧congruence value ranges of T (the same analysis Absint
+	// runs), and dominator computation. When the verified T provably cannot
+	// reach ep — even with every unresolved indirect call over-approximated
+	// as may-call-anything — the pipeline short-circuits to a sound
+	// statically-unreachable verdict without running symbolic execution;
+	// otherwise the pruned CFG view is fed to the distance maps and the
+	// symex frontier so provably dead branches are never scheduled. Pruning
+	// never changes a verdict or the poc' bytes: a statically dead direction
+	// is semantically infeasible, so the only thing skipped is its SAT
+	// refutation.
 	StaticPrune bool
-	// Absint enables the abstract-interpretation value-range layer: a
-	// whole-program interval∧congruence analysis of T whose branch proofs
-	// are consulted by the symbolic executor before the solver ever sees a
-	// feasibility query (a proved branch is discharged with zero SAT
-	// checks), and — when StaticPrune is also on — strengthen the static
-	// pre-analysis beyond constant propagation (parity guards after
-	// even-stride loops, width-bounded loads). Like StaticPrune, the layer
-	// never changes a verdict or the poc' bytes: the oracle's proofs hold on
-	// every concrete execution, so only the SAT checks differ.
+	// Absint enables the abstract-interpretation value-range layer as a
+	// phase of its own: a whole-program interval∧congruence analysis of T,
+	// cached as an ai: artifact, whose branch proofs are consulted by the
+	// symbolic executor before the solver ever sees a feasibility query (a
+	// proved branch is discharged with zero SAT checks). When StaticPrune is
+	// also on, the static pre-analysis reads its folds from this result
+	// instead of computing it again. Like StaticPrune, the layer never
+	// changes a verdict or the poc' bytes: the oracle's proofs hold on every
+	// concrete execution, so only the SAT checks differ.
 	Absint bool
 	// HybridFuzz enables the directed-fuzzing fallback (internal/hybrid):
 	// when symbolic execution ends θ-exhausted (loop-dead) or out of solver
@@ -184,7 +182,7 @@ func (p *Pipeline) VerifyContext(ctx context.Context, pair *Pair) (*Report, erro
 	if rep.Reason != ReasonNone {
 		attrs["reason"] = string(rep.Reason)
 	}
-	if rep.Verdict == VerdictTriggered || rep.Verdict == VerdictTriggeredByFuzzing {
+	if rep.Verdict.Triggered() {
 		attrs["poc_bytes"] = len(rep.PoCPrime)
 		attrs["guiding_same"] = rep.GuidingSame
 	}
@@ -237,10 +235,11 @@ func (p *Pipeline) verifyCtx(ctx context.Context, pair *Pair, rec *journal.Recor
 		rep.Absint = &ai.Summary
 	}
 
-	// Static pre-analysis (cache-aware): verify T, fold constants, prune
-	// dead blocks, and — when even the may-call-anything over-approximation
-	// of indirect calls cannot reach ep — short-circuit to the sound
-	// statically-unreachable verdict with zero symbolic execution.
+	// Static pre-analysis (cache-aware): verify T, fold the branches the
+	// value ranges prove, prune dead blocks, and — when even the
+	// may-call-anything over-approximation of indirect calls cannot reach
+	// ep — short-circuit to the sound statically-unreachable verdict with
+	// zero symbolic execution.
 	var sa *mirstatic.Analysis
 	if p.staticEnabled(pair) {
 		rep.Timings.StaticCached, err = p.phase(ctx, root, "static", &rep.Timings.Static, func(sp *telemetry.Span) (hit bool, err error) {
@@ -513,8 +512,8 @@ func (p *Pipeline) phase1(ctx context.Context, pair *Pair, parent *telemetry.Spa
 // graph omits provably dead blocks and folded-away branch edges, so the
 // distance maps never route through unreachable code.
 func (p *Pipeline) phase2Prep(ctx context.Context, pair *Pair, ep string, sa *mirstatic.Analysis, ai *absint.Result, parent *telemetry.Span) (*P2Artifact, bool, error) {
-	pruned, withRanges := sa != nil, sa != nil && sa.Ranges != nil
-	key := func() string { return p.p2Key(pair, ep, pruned, withRanges) }
+	pruned := sa != nil
+	key := func() string { return p.p2Key(pair, ep, pruned) }
 	return cached(ctx, p, ClassP2, key, nil, func() (*P2Artifact, error) {
 		tr := telemetry.TraceFrom(ctx)
 		graph := cfg.BuildPruned(pair.T, prunerOf(sa))
@@ -523,7 +522,6 @@ func (p *Pipeline) phase2Prep(ctx context.Context, pair *Pair, ep string, sa *mi
 			edges, derr := symex.Discover(pair.T, symex.NaiveConfig{
 				InputSize:   p.discoverInputSize(pair),
 				MaxSteps:    p.maxSteps(pair),
-				SatBudget:   p.cfg.SatBudget,
 				Stop:        ctx.Done(),
 				Metrics:     p.cfg.Metrics.symexSink(),
 				SolverCache: p.satCache,
@@ -548,7 +546,7 @@ func (p *Pipeline) phase2Prep(ctx context.Context, pair *Pair, ep string, sa *mi
 				return nil, err
 			}
 		}
-		art := &P2Artifact{Graph: graph, Ep: ep, Pruned: pruned, Absint: withRanges}
+		art := &P2Artifact{Graph: graph, Ep: ep, Pruned: pruned}
 		if graph.Reachable(ep) {
 			sp := tr.Start("distance_map", parent)
 			art.Dist = graph.DistancesTo(ep)
@@ -582,14 +580,11 @@ func (p *Pipeline) minimize(ctx context.Context, pair *Pair, poc []byte, want *v
 }
 
 // effectiveMaxSteps resolves the per-run instruction budget: a positive
-// override (typically Pair.MaxSteps) wins, then the pipeline config, then
-// vm.DefaultMaxSteps. Every budget consumer goes through this one helper.
+// override (typically Pair.MaxSteps) wins, then vm.DefaultMaxSteps. Every
+// budget consumer goes through this one helper.
 func (p *Pipeline) effectiveMaxSteps(override int64) int64 {
 	if override > 0 {
 		return override
-	}
-	if p.cfg.MaxSteps > 0 {
-		return p.cfg.MaxSteps
 	}
 	return vm.DefaultMaxSteps
 }
@@ -706,7 +701,6 @@ func (p *Pipeline) reform(ctx context.Context, pair *Pair, ep string, dist *cfg.
 		InputSize:   inputSize,
 		MaxSteps:    p.maxSteps(pair),
 		Theta:       p.cfg.Theta,
-		SatBudget:   p.cfg.SatBudget,
 		Target:      ep,
 		Distances:   dist,
 		Stop:        ctx.Done(),
@@ -723,7 +717,7 @@ func (p *Pipeline) reform(ctx context.Context, pair *Pair, ep string, dist *cfg.
 	// The visitor below runs concurrently when SymexWorkers > 1; it only
 	// touches state-local data, mutex-guarded trace spans, and placeSol,
 	// whose Sat is safe for concurrent use.
-	placeSol := solver.Solver{Budget: p.cfg.SatBudget, Metrics: p.cfg.Metrics.solverSink(), Cache: p.satCache, Faults: p.cfg.Faults, Journal: rec}
+	placeSol := solver.Solver{Metrics: p.cfg.Metrics.solverSink(), Cache: p.satCache, Faults: p.cfg.Faults, Journal: rec}
 	visitor := func(entry symex.EpEntry, st *symex.State) (symex.Decision, error) {
 		esp := tr.Start("ep_entry", parent)
 		defer esp.End()
@@ -817,7 +811,7 @@ func (p *Pipeline) reform(ctx context.Context, pair *Pair, ep string, dist *cfg.
 	// P3.3: solve everything into concrete bytes.
 	ssp := tr.Start("solve", parent)
 	ssp.SetAttr("constraints", len(res.Constraints))
-	sol := solver.Solver{Budget: p.cfg.SatBudget, Metrics: p.cfg.Metrics.solverSink(), Cache: p.satCache, Faults: p.cfg.Faults, Journal: rec}
+	sol := solver.Solver{Metrics: p.cfg.Metrics.solverSink(), Cache: p.satCache, Faults: p.cfg.Faults, Journal: rec}
 	model, err := sol.Solve(res.Constraints)
 	ssp.End()
 	if err != nil {

@@ -37,6 +37,12 @@ const (
 // one, such as per-verdict metric series.
 var Verdicts = []Verdict{VerdictTriggered, VerdictNotTriggerable, VerdictFailure, VerdictTriggeredByFuzzing}
 
+// Triggered reports whether v carries a crash inside ℓ confirmed by
+// concrete replay, whether the poc' was reformed or fuzzed.
+func (v Verdict) Triggered() bool {
+	return v == VerdictTriggered || v == VerdictTriggeredByFuzzing
+}
+
 // String renders the verdict.
 func (v Verdict) String() string {
 	switch v {

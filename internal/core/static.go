@@ -24,13 +24,14 @@ func (p *Pipeline) staticEnabled(pair *Pair) bool {
 	return p.cfg.StaticPrune
 }
 
-// staticKey derives the content address of the static pre-analysis artifact.
-// The analysis is a pure function of the T program and of whether the
-// abstract-interpretation strengthening ran, so both participate.
-func staticKey(pair *Pair, absint bool) string {
+// staticKey derives the content address of the static pre-analysis artifact:
+// a pure function of the T program text. The fixed "|absint:true" suffix
+// keeps keys byte-identical to those of stores written while the analysis
+// could also be computed without the absint folds.
+func staticKey(pair *Pair) string {
 	h := sha256.New()
 	io.WriteString(h, asm.Format(pair.T))
-	fmt.Fprintf(h, "|absint:%v", absint)
+	io.WriteString(h, "|absint:true")
 	return "ps:" + hex.EncodeToString(h.Sum(nil))
 }
 
@@ -56,12 +57,14 @@ func (p *Pipeline) phaseAbsint(ctx context.Context, pair *Pair) (*absint.Result,
 }
 
 // phaseStatic produces (or retrieves) the static pre-analysis of T: the MIR
-// verifier, constant folding with dead-block elimination, dominator trees,
-// and the may-call-anything reachability closure. The boolean result reports
-// a cache hit. A verifier rejection is a hard error — a malformed T cannot
-// be verified soundly by any later phase either.
+// verifier, branch folding with dead-block elimination from the value
+// ranges, dominator trees, and the may-call-anything reachability closure.
+// ai is the phaseAbsint result when that phase ran; nil makes the analysis
+// compute the ranges itself. The boolean result reports a cache hit. A
+// verifier rejection is a hard error — a malformed T cannot be verified
+// soundly by any later phase either.
 func (p *Pipeline) phaseStatic(ctx context.Context, pair *Pair, ai *absint.Result) (*mirstatic.Analysis, bool, error) {
-	return cached(ctx, p, ClassStatic, func() string { return staticKey(pair, ai != nil) }, nil, func() (*mirstatic.Analysis, error) {
+	return cached(ctx, p, ClassStatic, func() string { return staticKey(pair) }, nil, func() (*mirstatic.Analysis, error) {
 		if err := p.cfg.Faults.Err(faultinject.CoreStatic); err != nil {
 			return nil, fmt.Errorf("pair %s: static pre-analysis of T: %w", pair.Name, err)
 		}

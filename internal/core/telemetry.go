@@ -132,7 +132,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		StaticAnalyses: reg.Counter("octopocs_static_analyses_total",
 			"Static pre-analyses computed (cache hits excluded).", nil),
 		StaticFolded: reg.Counter("octopocs_static_branches_folded_total",
-			"Branches proven one-sided by constant propagation.", nil),
+			"Branches proven one-sided by the static pre-analysis.", nil),
 		StaticDeadBlocks: reg.Counter("octopocs_static_blocks_pruned_total",
 			"Basic blocks proven dead and pruned from the CFG view.", nil),
 		StaticDeadRegions: reg.Counter("octopocs_static_dead_regions_total",

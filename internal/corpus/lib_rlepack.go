@@ -52,7 +52,7 @@ func rlepackS() *asm.Builder {
 // still present, but the embedding product compiled it out — the only call
 // sits behind a feature flag that is constant false. The call edge exists
 // in the static CFG (so plain backward path finding considers ep
-// reachable), yet constant folding kills the guard and with it every path
+// reachable), yet branch folding kills the guard and with it every path
 // into ℓ: the statically-unreachable short-circuit case.
 func rlepackDeadT() *asm.Builder {
 	b := asm.NewBuilder("rlepack-deadclone")

@@ -7,8 +7,9 @@ import (
 
 // opClassScope names the interpreter-shaped packages whose ISA switches
 // OpClass audits: the ones that give every opcode a meaning (the concrete
-// VM, the symbolic executor) or a transfer function (constant propagation,
-// abstract interpretation).
+// VM, the symbolic executor), a transfer function (abstract interpretation,
+// the one source of static branch folds), or a check (the MIR verifier and
+// call-graph reachability of mirstatic).
 var opClassScope = []string{"internal/absint", "internal/mirstatic", "internal/vm", "internal/symex"}
 
 // opClassFamilies hardcodes the ISA constant families by name. The analyzer

@@ -1,8 +1,9 @@
 // Package mirstatic is the static pre-analysis layer that runs before P2:
-// it verifies MIR well-formedness, folds constant branches, eliminates
-// statically dead blocks, computes dominator/post-dominator trees, and
-// over-approximates interprocedural reachability so the pipeline can emit a
-// sound "statically-unreachable" verdict without spending any P2 symbolic
+// it verifies MIR well-formedness, folds the branches and eliminates the
+// dead blocks that the interval∧congruence value ranges of internal/absint
+// prove, computes dominator/post-dominator trees, and over-approximates
+// interprocedural reachability so the pipeline can emit a sound
+// "statically-unreachable" verdict without spending any P2 symbolic
 // execution, and so the P2 distance maps and frontier never route through
 // provably dead regions. Everything here is a conservative over-
 // approximation of the concrete VM semantics used by P4: a block reported
@@ -24,14 +25,13 @@ import (
 
 // FuncFacts holds the per-function results of the static analysis.
 type FuncFacts struct {
-	// Live reports, per block index, whether the block is reachable from
-	// the function entry along edges that survive constant branch folding.
-	// Dead blocks cannot execute on any input (given the VM's zero-
-	// initialized register file and the folded branch conditions).
+	// Live reports, per block index, whether the value-range analysis
+	// reached the block from the function entry along proved edges. Dead
+	// blocks cannot execute on any input.
 	Live []bool
 	// Taken is the folded successor of each block's terminator: for a
-	// conditional branch whose condition is a compile-time constant it is
-	// the block index that is always taken; -1 everywhere else.
+	// conditional branch whose direction the value ranges prove it is the
+	// block index that is always taken; -1 everywhere else.
 	Taken []int
 	// Idom is the immediate-dominator tree of the *unfolded* static CFG:
 	// Idom[entry] == entry (the root), Idom[b] == -1 for blocks that are
@@ -58,11 +58,6 @@ type Summary struct {
 	DeadRegionBlocks int `json:"dead_region_blocks"`
 	ReachableFuncs   int `json:"reachable_funcs"`
 	Warnings         int `json:"warnings"`
-	// AbsintFolded counts branches the interval∧congruence layer decided
-	// that constant propagation alone could not; AbsintDead counts blocks it
-	// additionally proved unreachable. Both are zero when the layer is off.
-	AbsintFolded int `json:"absint_folded,omitempty"`
-	AbsintDead   int `json:"absint_dead,omitempty"`
 }
 
 // Analysis is the immutable result of Analyze. It implements the
@@ -78,19 +73,15 @@ type Analysis struct {
 	// the program entry through live blocks, with unresolved indirect-call
 	// slots widened to may-call-anything.
 	Reachable map[string]bool
-	// Ranges is the interval∧congruence analysis that strengthened this
-	// result; nil when Analyze got none.
-	Ranges  *absint.Result
-	Summary Summary
+	Summary   Summary
 }
 
 // Analyze verifies prog and computes the full static analysis. It returns an
 // error carrying the verifier diagnostics when the program is malformed;
-// warnings are collected on the Analysis instead. A non-nil ranges enables
-// the abstract-interpretation strengthening layer: the interval∧congruence
-// value ranges of prog (from absint.Analyze, or the pipeline's cached ai:
-// artifact) decide branches (and kill blocks) that the flat constant
-// lattice cannot, e.g. the parity guard after an even-stride loop.
+// warnings are collected on the Analysis instead. ranges is the
+// interval∧congruence analysis of prog (the pipeline's cached ai: artifact,
+// say) and the only source of the liveness and folded-branch facts; nil
+// makes Analyze run absint.Analyze(prog) itself.
 func Analyze(prog *isa.Program, ranges *absint.Result) (*Analysis, error) {
 	diags := Verify(prog)
 	var warns []Diagnostic
@@ -105,13 +96,12 @@ func Analyze(prog *isa.Program, ranges *absint.Result) (*Analysis, error) {
 		Funcs:     make(map[string]*FuncFacts, len(prog.Funcs)),
 		Warnings:  warns,
 		Reachable: make(map[string]bool),
-		Ranges:    ranges,
+	}
+	if ranges == nil {
+		ranges = absint.Analyze(prog)
 	}
 	for _, f := range prog.Funcs {
-		ff := analyzeFunc(f)
-		if a.Ranges != nil {
-			a.strengthen(f, ff)
-		}
+		ff := factsOf(f, ranges)
 		ff.Idom = Dominators(f)
 		ff.IPdom = PostDominators(f)
 		ff.Regions = deadRegions(f, ff)
@@ -140,64 +130,22 @@ func Analyze(prog *isa.Program, ranges *absint.Result) (*Analysis, error) {
 	return a, nil
 }
 
-// strengthen merges the interval∧congruence facts into one function's
-// constant-propagation facts: absint-proved branch directions fold branches
-// the flat lattice left open, absint-unreachable blocks die, and liveness is
-// recomputed over the surviving edges so newly folded branches kill their
-// dead arms transitively. Soundness: absint proofs hold on every concrete
-// execution (pinned by the differential fuzz target), so folding them is
-// exactly as safe as folding a compile-time constant condition.
-func (a *Analysis) strengthen(f *isa.Function, ff *FuncFacts) {
-	n := len(f.Blocks)
-	if n == 0 {
-		return
+// factsOf reads one function's liveness and folded branches off the value
+// ranges: a block is live when absint reached it along proved edges, and a
+// conditional branch is folded when absint proved its successor.
+func factsOf(f *isa.Function, ranges *absint.Result) *FuncFacts {
+	ff := &FuncFacts{
+		Live:  make([]bool, len(f.Blocks)),
+		Taken: make([]int, len(f.Blocks)),
 	}
-	for b := 0; b < n; b++ {
-		if ff.Taken[b] >= 0 {
-			continue
-		}
-		if taken, ok := a.Ranges.BranchProved(f.Name, b); ok {
+	for b := range f.Blocks {
+		ff.Live[b] = !ranges.Unreachable(f.Name, b)
+		ff.Taken[b] = -1
+		if taken, ok := ranges.BranchProved(f.Name, b); ok {
 			ff.Taken[b] = taken
-			a.Summary.AbsintFolded++
 		}
 	}
-	// Recompute liveness from the entry over folded edges, never entering a
-	// block absint proved unreachable. This is exactly the edge set the
-	// constant-propagation fixpoint explored, minus absint's extra kills.
-	live := make([]bool, n)
-	work := []int{0}
-	live[0] = true
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		visit := func(to int) {
-			if live[to] || a.Ranges.Unreachable(f.Name, to) {
-				return
-			}
-			live[to] = true
-			work = append(work, to)
-		}
-		term := f.Blocks[b].Terminator()
-		switch term.Op {
-		case isa.OpJmp:
-			visit(term.ThenIdx)
-		case isa.OpBr:
-			if ff.Taken[b] >= 0 {
-				visit(ff.Taken[b])
-			} else {
-				visit(term.ThenIdx)
-				visit(term.ElseIdx)
-			}
-		default:
-			// Ret, Trap and exiting syscalls have no successors.
-		}
-	}
-	for b := 0; b < n; b++ {
-		if ff.Live[b] && !live[b] {
-			a.Summary.AbsintDead++
-		}
-		ff.Live[b] = ff.Live[b] && live[b]
-	}
+	return ff
 }
 
 // DeadBlock reports whether block is statically unreachable within fn.
@@ -211,7 +159,7 @@ func (a *Analysis) DeadBlock(fn string, block int) bool {
 }
 
 // BranchTaken reports the folded successor of the conditional branch
-// terminating (fn, block), when its condition is a compile-time constant.
+// terminating (fn, block), when the value ranges prove its direction.
 // The second result is false when the branch is not statically decided.
 func (a *Analysis) BranchTaken(fn string, block int) (int, bool) {
 	ff := a.Funcs[fn]
@@ -328,11 +276,7 @@ func (a *Analysis) computeReachable() {
 
 // String renders the summary in one line for -v output and traces.
 func (s Summary) String() string {
-	out := fmt.Sprintf("funcs=%d blocks=%d live=%d dead=%d folded=%d regions=%d region-blocks=%d reach-funcs=%d warns=%d",
+	return fmt.Sprintf("funcs=%d blocks=%d live=%d dead=%d folded=%d regions=%d region-blocks=%d reach-funcs=%d warns=%d",
 		s.Funcs, s.Blocks, s.LiveBlocks, s.DeadBlocks, s.FoldedBranches,
 		s.DeadRegions, s.DeadRegionBlocks, s.ReachableFuncs, s.Warnings)
-	if s.AbsintFolded > 0 || s.AbsintDead > 0 {
-		out += fmt.Sprintf(" absint-folded=%d absint-dead=%d", s.AbsintFolded, s.AbsintDead)
-	}
-	return out
 }

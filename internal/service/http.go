@@ -41,12 +41,13 @@ type SubmitRequest struct {
 	// MaxSteps overrides the per-run instruction budget (0 = default).
 	MaxSteps int64 `json:"max_steps,omitempty"`
 	// CorpusIdx submits a built-in corpus row instead: the Table II pairs
-	// (1-15) or the static-prune pairs (16-17).
+	// (1-15), the static-prune pairs (16-17) or the hybrid-fallback pairs
+	// (18-21).
 	CorpusIdx int `json:"corpus_idx,omitempty"`
 	// Static overrides the service-wide static-prune setting for this job:
-	// true forces the pre-P2 static analysis (verifier, constant folding,
-	// dead-block pruning, statically-unreachable short-circuit), false
-	// forces it off, absent inherits the pipeline configuration.
+	// true forces the pre-P2 static analysis (verifier, value-range branch
+	// folding, dead-block pruning, statically-unreachable short-circuit),
+	// false forces it off, absent inherits the pipeline configuration.
 	Static *bool `json:"static,omitempty"`
 }
 
@@ -55,7 +56,7 @@ func (r *SubmitRequest) BuildPair() (*core.Pair, error) {
 	if r.CorpusIdx != 0 {
 		spec := corpus.ByIdx(r.CorpusIdx)
 		if spec == nil {
-			return nil, fmt.Errorf("no corpus pair with index %d (valid: 1-17)", r.CorpusIdx)
+			return nil, fmt.Errorf("no corpus pair with index %d (valid: 1-21)", r.CorpusIdx)
 		}
 		pair := spec.Pair
 		if r.Static != nil {

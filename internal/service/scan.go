@@ -66,7 +66,7 @@ type ScanRequest struct {
 	// FindEp derives Ep by crashing S with the PoC and taking the
 	// bottom-most ℓ frame of the backtrace (overrides Ep on success).
 	FindEp bool `json:"find_ep,omitempty"`
-	// CorpusIdx sources the scan from a built-in corpus row (1-17): its S
+	// CorpusIdx sources the scan from a built-in corpus row (1-21): its S
 	// program, PoC, and ℓ function set.
 	CorpusIdx int `json:"corpus_idx,omitempty"`
 	// Targets are inline target programs to index.
@@ -116,7 +116,7 @@ func (r *ScanRequest) buildSource() (*scanSource, error) {
 	if r.CorpusIdx != 0 {
 		spec := corpus.ByIdx(r.CorpusIdx)
 		if spec == nil {
-			return nil, fmt.Errorf("no corpus pair with index %d (valid: 1-17)", r.CorpusIdx)
+			return nil, fmt.Errorf("no corpus pair with index %d (valid: 1-21)", r.CorpusIdx)
 		}
 		src.prog = spec.Pair.S
 		if len(src.poc) == 0 {
@@ -199,8 +199,8 @@ type ScanCandidate struct {
 	// Verdict/Type mirror the finished job's report.
 	Verdict string `json:"verdict,omitempty"`
 	Type    string `json:"type,omitempty"`
-	// Confirmed is set when verification produced a reformed PoC that
-	// triggers the vulnerability in this target.
+	// Confirmed is set when verification produced a replay-confirmed poc',
+	// reformed or fuzzed, that triggers the vulnerability in this target.
 	Confirmed bool `json:"confirmed,omitempty"`
 	// Error carries the enqueue or verification error, if any.
 	Error string `json:"error,omitempty"`
@@ -446,13 +446,13 @@ func (s *Service) watchScan(sc *Scan, jobs []*Job) {
 		case rep != nil:
 			c.Verdict = rep.Verdict.String()
 			c.Type = rep.Type.String()
-			c.Confirmed = rep.Verdict == core.VerdictTriggered
+			c.Confirmed = rep.Verdict.Triggered()
 		}
 		c.JournalEvents = snap.JournalEvents
 		c.JournalDropped = snap.JournalDropped
 		sc.mu.Unlock()
 		if err == nil && rep != nil && rep.Verdict != core.VerdictFailure {
-			s.met.clonedet.ObserveVerdict(rep.Verdict == core.VerdictTriggered)
+			s.met.clonedet.ObserveVerdict(rep.Verdict.Triggered())
 		}
 	}
 	sc.finish()

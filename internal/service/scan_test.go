@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"octopocs/internal/asm"
+	"octopocs/internal/core"
 	"octopocs/internal/corpus"
 	"octopocs/internal/service"
 )
@@ -302,6 +303,57 @@ func TestScanMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("exposition lacks %q", want)
+		}
+	}
+}
+
+// TestScanConfirmsFuzzingRescue: on a hybrid service, a candidate whose
+// verification ends triggered-by-fuzzing carries a replay-confirmed crash
+// inside ℓ, so the scan reports it confirmed and the clonedet counters
+// count it confirmed, not refuted. Row 19's T is θ-dead for symbolic
+// execution and rescued only by the fuzzing fallback.
+func TestScanConfirmsFuzzingRescue(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1,
+		Pipeline: core.Config{StaticPrune: true, Absint: true, HybridFuzz: true}})
+	defer svc.Shutdown(context.Background())
+
+	row := corpus.ByIdx(19)
+	sc, err := svc.StartScan(&service.ScanRequest{
+		CorpusIdx: 19,
+		Targets:   []service.ScanTargetSpec{{Key: "t19", T: asm.Format(row.Pair.T)}},
+	})
+	if err != nil {
+		t.Fatalf("StartScan: %v", err)
+	}
+	if err := sc.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := sc.Snapshot()
+	var cand *service.ScanCandidate
+	for i := range st.Candidates {
+		if st.Candidates[i].Target == "t19" {
+			cand = &st.Candidates[i]
+		}
+	}
+	if cand == nil {
+		t.Fatalf("inline T not retrieved; candidates: %+v", st.Candidates)
+	}
+	if cand.Verdict != core.VerdictTriggeredByFuzzing.String() {
+		t.Fatalf("verdict = %q, want %q", cand.Verdict, core.VerdictTriggeredByFuzzing)
+	}
+	if !cand.Confirmed || st.Confirmed != 1 {
+		t.Errorf("fuzzing rescue not confirmed: candidate %+v, scan confirmed %d", cand, st.Confirmed)
+	}
+	var text strings.Builder
+	if err := svc.Registry().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"octopocs_clonedet_confirmed_total 1\n",
+		"octopocs_clonedet_refuted_total 0\n",
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("exposition lacks %q", strings.TrimSpace(want))
 		}
 	}
 }
