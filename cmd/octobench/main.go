@@ -36,7 +36,6 @@ func run(args []string) error {
 		doSweeps  = fs.Bool("sweeps", false, "run the θ and naive-SE-memory parameter sweeps")
 		execs     = fs.Int64("execs", 300_000, "fuzzing execution budget for Table V")
 		memBudget = fs.Int64("mem", 0, "naive-SE memory budget in bytes for Table IV (0 = default)")
-		workers   = fs.Int("workers", 0, "verify Table II pairs with a worker pool of this size (0 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -49,21 +48,11 @@ func run(args []string) error {
 	want := func(n int) bool { return *all || *table == n }
 
 	if want(2) {
-		var rows []eval.TableIIRow
-		var err error
-		if *workers > 0 {
-			rows, err = eval.TableIIParallel(*workers)
-		} else {
-			rows, err = eval.TableII()
-		}
-		// The parallel run returns the rows that verified even when some
-		// pairs failed; print them before surfacing the aggregate error.
-		if len(rows) > 0 {
-			fmt.Println(eval.FormatTableII(rows))
-		}
+		rows, err := eval.TableII()
 		if err != nil {
 			return err
 		}
+		fmt.Println(eval.FormatTableII(rows))
 	}
 	if want(3) {
 		rows, err := eval.TableIII()

@@ -4,10 +4,11 @@
 // Usage:
 //
 //	octopocs -all                 verify the 15 Table II rows (-pair takes 1-21)
-//	octopocs -all -workers 4      same, concurrently via the service pool
+//	octopocs -all -workers 4      same, four pairs at a time
 //	octopocs -pair 8              verify one Table II row
 //	octopocs -pair 9 -poc out.bin write the reformed PoC to a file
 //	octopocs -pair 8 -symex-workers 4  explore P2 with 4 frontier goroutines
+//	octopocs -prioritize          verify all 15 rows, print a patch-priority list
 //	octopocs -pair 3 -context-free  ablation: disable context-aware taint
 //	octopocs -pair 8 -static-cfg    ablation: static CFG only
 //	octopocs -pair 16 -static       static pre-analysis: verify, fold, prune
@@ -17,6 +18,12 @@
 //	octopocs -pair 8 -journal j.jsonl  save the verdict provenance journal
 //	octopocs explain j.jsonl      render a journal as a narrative (explain.go)
 //	octopocs explain -addr http://host:8344 job-3  fetch and render a job
+//
+// Every mode verifies through one service worker pool (internal/service),
+// so pairs sharing an S or T program reuse each other's phase artifacts
+// and each journal records the pool's cache.probe events. -workers sizes
+// the pool (1 by default: one pair at a time, in order); -symex-workers 0
+// gives each job GOMAXPROCS/workers frontier explorers.
 package main
 
 import (
@@ -26,9 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
-	"runtime"
 
 	"octopocs/internal/core"
 	"octopocs/internal/corpus"
@@ -65,14 +70,14 @@ func run(args []string) error {
 		absintOn    = fs.Bool("absint", false, "enable abstract-interpretation value ranges as a cached phase: branch oracle for symbolic execution, shared with -static pruning")
 		hybridOn    = fs.Bool("hybrid", false, "enable the directed-fuzzing fallback: rescue theta- and budget-exhausted symex outcomes with a replay-confirmed campaign crash (verdict triggered-by-fuzzing)")
 		verbose     = fs.Bool("v", false, "print crash primitives and crash details")
-		workers     = fs.Int("workers", 0, "with -all: verify pairs concurrently with this many service workers (0 = sequential)")
-		symexWork   = fs.Int("symex-workers", 0, "frontier explorer goroutines per symbolic execution (0 = GOMAXPROCS, negative = one)")
+		workers     = fs.Int("workers", 1, "verify this many pairs at once in the service pool (0 = GOMAXPROCS)")
+		symexWork   = fs.Int("symex-workers", 0, "frontier explorer goroutines per symbolic execution (0 = GOMAXPROCS/workers, negative = one)")
 		prioritize  = fs.Bool("prioritize", false, "verify all pairs and print a patch-priority list (§ VII practical usage)")
 		explain     = fs.Bool("explain", false, "with -pair: show the S-on-poc and T-on-poc' traces and the preserved ℓ path")
 		withTrace   = fs.Bool("trace", false, "dump each job's phase/sub-step span tree as JSON after its report")
 		journalOut  = fs.String("journal", "", "write the verdict provenance journal(s) as JSONL to this file; render with `octopocs explain`")
 		journalVerb = fs.Bool("journal-verbose", false, "with -journal: also record per-state frontier and per-call solver events")
-		storeDir    = fs.String("store-dir", "", "persistent artifact store directory; repeat runs reuse phase artifacts (implies -workers 1 when unset)")
+		storeDir    = fs.String("store-dir", "", "persistent artifact store directory; repeat runs reuse phase artifacts")
 		storeBudget = fs.Int64("store-budget", 0, "persistent store disk budget in MiB across all classes (0 = default)")
 		logLevel    = fs.String("log-level", "warn", "log level: debug, info, warn, error")
 		logFormat   = fs.String("log-format", "text", "log format: text or json")
@@ -93,18 +98,9 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("pass -all, -pair N, or -prioritize")
 	}
-	if *prioritize {
-		return runPrioritize(core.Config{ContextFree: *contextFree, StaticCFGOnly: *staticCFG,
-			StaticPrune: *static, Absint: *absintOn, HybridFuzz: *hybridOn,
-			SymexWorkers: symexBudget(*symexWork), Faults: faults})
-	}
-
-	cfg := core.Config{ContextFree: *contextFree, StaticCFGOnly: *staticCFG,
-		StaticPrune: *static, Absint: *absintOn, HybridFuzz: *hybridOn,
-		SymexWorkers: symexBudget(*symexWork), Faults: faults}
 
 	var specs []*corpus.PairSpec
-	if *all {
+	if *all || *prioritize {
 		specs = corpus.All()
 	} else {
 		spec := corpus.ByIdx(*pairIdx)
@@ -114,16 +110,24 @@ func run(args []string) error {
 		specs = []*corpus.PairSpec{spec}
 	}
 
-	var jopts *journal.Options
-	if *journalOut != "" {
-		jopts = &journal.Options{}
-		if *journalVerb {
-			jopts.Verbosity = journal.VerbVerbose
-		}
+	// The service auto-budgets SymexWorkers 0 to GOMAXPROCS/Workers so
+	// pairs-in-parallel and frontier goroutines don't multiply against
+	// each other.
+	svcCfg := service.Config{
+		Workers:    *workers,
+		QueueDepth: len(specs),
+		Pipeline: core.Config{ContextFree: *contextFree, StaticCFGOnly: *staticCFG,
+			StaticPrune: *static, Absint: *absintOn, HybridFuzz: *hybridOn,
+			SymexWorkers: *symexWork, Faults: faults},
+		Logger:         logger,
+		TraceCapacity:  -1,
+		JournalVerbose: *journalVerb,
 	}
-	var stores *service.Stores
+	if *withTrace {
+		svcCfg.TraceCapacity = len(specs)
+	}
 	if *storeDir != "" {
-		stores, err = service.OpenStores(service.StoreOptions{
+		svcCfg.Stores, err = service.OpenStores(service.StoreOptions{
 			Dir:        *storeDir,
 			DiskBudget: *storeBudget << 20,
 			Faults:     faults,
@@ -132,34 +136,35 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		defer stores.Close()
-		if *workers == 0 {
-			// The store hangs off the service layer; route even sequential
-			// runs through a one-worker pool so artifacts persist.
-			*workers = 1
-		}
+		defer svcCfg.Stores.Close()
 	}
-	reports, traces, journals, err := verifyAll(specs, cfg, *workers, *symexWork, stores, logger, *withTrace, jopts)
+	reports, traces, journals, err := verifyAll(specs, svcCfg)
 	if err != nil {
 		return err
 	}
 
-	for i, spec := range specs {
-		rep := reports[i]
-		printReport(spec, rep, *verbose)
-		if *withTrace && traces[i] != nil {
-			if err := dumpTrace(os.Stdout, traces[i]); err != nil {
-				return err
-			}
+	if *prioritize {
+		if err := printPriorities(specs, reports, traces); err != nil {
+			return err
 		}
-		if *explain {
-			explainPair(spec, rep)
-		}
-		if *pocOut != "" && rep.PoCGenerated() {
-			if err := os.WriteFile(*pocOut, rep.PoCPrime, 0o644); err != nil {
-				return fmt.Errorf("write poc': %w", err)
+	} else {
+		for i, spec := range specs {
+			rep := reports[i]
+			printReport(spec, rep, *verbose)
+			if traces[i] != nil {
+				if err := dumpTrace(os.Stdout, traces[i]); err != nil {
+					return err
+				}
 			}
-			fmt.Printf("  reformed PoC written to %s (%d bytes)\n", *pocOut, len(rep.PoCPrime))
+			if *explain {
+				explainPair(spec, rep)
+			}
+			if *pocOut != "" && rep.PoCGenerated() {
+				if err := os.WriteFile(*pocOut, rep.PoCPrime, 0o644); err != nil {
+					return fmt.Errorf("write poc': %w", err)
+				}
+				fmt.Printf("  reformed PoC written to %s (%d bytes)\n", *pocOut, len(rep.PoCPrime))
+			}
 		}
 	}
 	if *journalOut != "" {
@@ -199,89 +204,32 @@ func parseFaults(schedule string) (*faultinject.Injector, error) {
 	return faultinject.New(sch), nil
 }
 
-// symexBudget maps the -symex-workers flag onto core.Config.SymexWorkers for
-// a direct in-process pipeline: positive values pass through, 0 auto-sizes to
-// GOMAXPROCS, and negative values select one explorer.
-func symexBudget(flagVal int) int {
-	if flagVal == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return max(1, flagVal)
-}
-
-// verifyAll collects one report per spec, in spec order, plus the span
-// trace of each run when withTrace is set and the provenance journal of
-// each run when jopts is non-nil (nil entries otherwise). With workers > 0
-// the pairs run concurrently through a service worker pool (sharing phase
-// artifacts via its cache); otherwise a single pipeline runs them in turn.
-func verifyAll(specs []*corpus.PairSpec, cfg core.Config, workers, symexWorkers int, stores *service.Stores, logger *slog.Logger, withTrace bool, jopts *journal.Options) ([]*core.Report, []*telemetry.Trace, [][]journal.Event, error) {
-	reports := make([]*core.Report, len(specs))
-	traces := make([]*telemetry.Trace, len(specs))
-	journals := make([][]journal.Event, len(specs))
-	if workers > 0 {
-		traceCap := -1
-		if withTrace {
-			traceCap = len(specs)
-		}
-		// The raw flag goes to the service, which auto-budgets 0 to
-		// GOMAXPROCS/Workers so pairs-in-parallel and frontier goroutines
-		// don't multiply against each other.
-		svcCfg := service.Config{
-			Workers:       workers,
-			QueueDepth:    len(specs),
-			Pipeline:      cfg,
-			Logger:        logger,
-			TraceCapacity: traceCap,
-			SymexWorkers:  symexWorkers,
-			Stores:        stores,
-		}
-		if jopts != nil {
-			svcCfg.JournalCapacity = jopts.Capacity
-			svcCfg.JournalVerbose = jopts.Verbosity >= journal.VerbVerbose
-		}
-		svc := service.New(svcCfg)
-		defer svc.Shutdown(context.Background())
-		jobs := make([]*service.Job, len(specs))
-		for i, spec := range specs {
-			job, err := svc.Submit(spec.Pair)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("pair %d: %w", spec.Idx, err)
-			}
-			jobs[i] = job
-		}
-		for i, job := range jobs {
-			rep, err := job.Wait(context.Background())
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("pair %d: %w", specs[i].Idx, err)
-			}
-			reports[i] = rep
-			traces[i], _ = svc.Trace(job.ID())
-			if jopts != nil {
-				journals[i], _ = svc.JournalEvents(job.ID(), 0)
-			}
-		}
-		return reports, traces, journals, nil
-	}
-	pipeline := core.New(cfg)
+// verifyAll runs every spec through one service worker pool and collects
+// one report per spec, in spec order, plus each job's span trace (nil when
+// tracing is off) and provenance journal. Pairs sharing an S or T program
+// reuse each other's phase artifacts through the service cache.
+func verifyAll(specs []*corpus.PairSpec, cfg service.Config) ([]*core.Report, []*telemetry.Trace, [][]journal.Event, error) {
+	svc := service.New(cfg)
+	defer svc.Shutdown(context.Background())
+	jobs := make([]*service.Job, len(specs))
 	for i, spec := range specs {
-		ctx := telemetry.WithLogger(context.Background(), logger)
-		if withTrace {
-			traces[i] = telemetry.NewTrace(fmt.Sprintf("pair-%d", spec.Idx), "verify")
-			ctx = telemetry.WithTrace(ctx, traces[i])
-		}
-		var rec *journal.Recorder
-		if jopts != nil {
-			rec = journal.New(fmt.Sprintf("pair-%d", spec.Idx), *jopts)
-			ctx = journal.With(ctx, rec)
-		}
-		rep, err := pipeline.VerifyContext(ctx, spec.Pair)
-		traces[i].Finish()
-		rec.Close()
+		job, err := svc.Submit(spec.Pair)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("pair %d: %w", spec.Idx, err)
 		}
+		jobs[i] = job
+	}
+	reports := make([]*core.Report, len(specs))
+	traces := make([]*telemetry.Trace, len(specs))
+	journals := make([][]journal.Event, len(specs))
+	for i, job := range jobs {
+		rep, err := job.Wait(context.Background())
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("pair %d: %w", specs[i].Idx, err)
+		}
 		reports[i] = rep
-		journals[i] = rec.Events()
+		traces[i], _ = svc.Trace(job.ID())
+		journals[i], _ = svc.JournalEvents(job.ID(), 0)
 	}
 	return reports, traces, journals, nil
 }
@@ -344,35 +292,35 @@ func bucketOf(v core.Verdict) int {
 	}
 }
 
-// runPrioritize implements the paper's practical-usage workflow (§ VII):
-// verify every detected clone and order the patching work by urgency —
-// triggered clones first, unverifiable ones next (they need manual review),
-// proven-dead clones last.
-func runPrioritize(cfg core.Config) error {
-	pipeline := core.New(cfg)
-	type entry struct {
-		spec *corpus.PairSpec
-		rep  *core.Report
-	}
-	var buckets [numBuckets][]entry
-	for _, spec := range corpus.All() {
-		rep, err := pipeline.Verify(spec.Pair)
-		if err != nil {
-			return fmt.Errorf("pair %d: %w", spec.Idx, err)
-		}
+// printPriorities implements the paper's practical-usage workflow (§ VII):
+// given a verdict for every detected clone, order the patching work by
+// urgency — triggered clones first, unverifiable ones next (they need
+// manual review), proven-dead clones last. Within a bucket, pairs keep spec
+// order; each pair's span trace, when present, follows its line.
+func printPriorities(specs []*corpus.PairSpec, reports []*core.Report, traces []*telemetry.Trace) error {
+	var buckets [numBuckets][]int
+	for i, rep := range reports {
 		b := bucketOf(rep.Verdict)
-		buckets[b] = append(buckets[b], entry{spec, rep})
+		buckets[b] = append(buckets[b], i)
 	}
-	print := func(title string, entries []entry, note string) {
-		fmt.Printf("%s (%d) — %s\n", title, len(entries), note)
-		for _, e := range entries {
-			fmt.Printf("  [%2d] %-42s %s (%s)\n", e.spec.Idx, e.spec.Label(), e.spec.CVE, e.rep.Type)
+	sections := [numBuckets]struct{ title, note string }{
+		bucketUrgent:   {"PATCH NOW", "a replay-confirmed poc′ triggers the propagated vulnerability"},
+		bucketReview:   {"MANUAL REVIEW", "no sound verdict; analyze by hand"},
+		bucketDeferred: {"DEFERRABLE", "proven not triggerable; patch during routine maintenance"},
+	}
+	for b, sec := range sections {
+		fmt.Printf("%s (%d) — %s\n", sec.title, len(buckets[b]), sec.note)
+		for _, i := range buckets[b] {
+			spec := specs[i]
+			fmt.Printf("  [%2d] %-42s %s (%s)\n", spec.Idx, spec.Label(), spec.CVE, reports[i].Type)
+			if traces[i] != nil {
+				if err := dumpTrace(os.Stdout, traces[i]); err != nil {
+					return err
+				}
+			}
 		}
 		fmt.Println()
 	}
-	print("PATCH NOW", buckets[bucketUrgent], "a replay-confirmed poc′ triggers the propagated vulnerability")
-	print("MANUAL REVIEW", buckets[bucketReview], "no sound verdict; analyze by hand")
-	print("DEFERRABLE", buckets[bucketDeferred], "proven not triggerable; patch during routine maintenance")
 	return nil
 }
 

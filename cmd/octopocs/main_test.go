@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"octopocs/internal/core"
+	"octopocs/internal/corpus"
+	"octopocs/internal/journal"
 )
 
 func TestRunArgumentValidation(t *testing.T) {
@@ -76,5 +78,47 @@ func TestBucketOf(t *testing.T) {
 func TestRunPrioritize(t *testing.T) {
 	if err := run([]string{"-prioritize"}); err != nil {
 		t.Fatalf("run(-prioritize) = %v", err)
+	}
+}
+
+// TestPrioritizeReusesStore runs -prioritize twice on one store: the second
+// run must serve every P1 artifact from the store, and its journal must say
+// so with a cache.probe hit for each pair.
+func TestPrioritizeReusesStore(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
+	for _, name := range []string{"cold.jsonl", "warm.jsonl"} {
+		if err := run([]string{"-prioritize", "-store-dir", store, "-journal", filepath.Join(dir, name)}); err != nil {
+			t.Fatalf("run(-prioritize) for %s = %v", name, err)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "warm.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := journal.DecodeJSONL(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := 0
+	for _, ev := range events {
+		if ev.Type != journal.EvCacheProbe || ev.Attrs["phase"] != "p1" {
+			continue
+		}
+		probes++
+		if ev.Attrs["hit"] != true {
+			t.Errorf("warm p1 probe %v missed the store", ev.Attrs["key"])
+		}
+	}
+	if want := len(corpus.All()); probes != want {
+		t.Errorf("warm journal has %d p1 probes, want %d (one per pair)", probes, want)
+	}
+}
+
+// TestScanHybridSource scans from a hybrid-set row (18-21), which has no
+// clone-detection ground truth row.
+func TestScanHybridSource(t *testing.T) {
+	if err := run([]string{"scan", "-source", "19", "-retrieve-only"}); err != nil {
+		t.Fatalf("run(scan -source 19) = %v", err)
 	}
 }

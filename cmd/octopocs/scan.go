@@ -14,7 +14,7 @@ import (
 
 // runScan implements the `octopocs scan` mode: clone-detection retrieval
 // over the built-in corpus followed by batch verification of every ranked
-// candidate, using the same service queue as -all -workers.
+// candidate, through the same service pool as -all.
 //
 //	octopocs scan -source 7              fan row 7's CVE across all 17 targets
 //	octopocs scan -source 7 -find-ep     anchor candidates on the derived ep
@@ -91,9 +91,8 @@ func runScan(args []string) error {
 }
 
 func printScan(idx int, st service.ScanStatus, retrieveOnly bool) {
-	truth := corpus.CloneTruthByIdx(idx)
 	fmt.Printf("scan %s: source [%2d] %s (family %s), %d targets indexed, %d candidates",
-		st.ID, idx, st.Name, truth.Family, st.Index.Targets, len(st.Candidates))
+		st.ID, idx, st.Name, corpus.CloneFamilyOf(idx), st.Index.Targets, len(st.Candidates))
 	if st.Ep != "" {
 		fmt.Printf(", ep %s", st.Ep)
 	}

@@ -127,12 +127,12 @@ func run(args []string, logOut *os.File) error {
 		CacheEntries:    *cache,
 		JobTimeout:      *timeout,
 		TraceCapacity:   *traces,
-		SymexWorkers:    *symexWorkers,
 		JournalCapacity: *journalCap,
 		JournalVerbose:  *journalVerbose,
 		Stores:          stores,
-		Pipeline:        core.Config{StaticPrune: *static, Absint: *absintOn, HybridFuzz: *hybridOn, Faults: faults},
-		Logger:          logger,
+		Pipeline: core.Config{StaticPrune: *static, Absint: *absintOn, HybridFuzz: *hybridOn,
+			SymexWorkers: *symexWorkers, Faults: faults},
+		Logger: logger,
 	}, *drain, logger)
 }
 

@@ -7,8 +7,7 @@
 // drives the full P1–P4 pipeline (or an ablated variant of it).
 //
 // Concurrency: every TableN/Sweep function builds its own pipelines and
-// may run concurrently with the others; TableIIParallel fans its rows out
-// through a service worker pool internally.
+// may run concurrently with the others.
 package eval
 
 import (

@@ -79,11 +79,11 @@ func TestChaosSweepDeterministicOutcomes(t *testing.T) {
 			plCfg.Faults = in
 			// One explorer per job, as in the baseline, so the schedule-
 			// dependent Stats compare equal on any core count.
+			plCfg.SymexWorkers = 1
 			svc := service.New(service.Config{
-				Workers:      2,
-				SymexWorkers: 1,
-				QueueDepth:   4,
-				Pipeline:     plCfg,
+				Workers:    2,
+				QueueDepth: 4,
+				Pipeline:   plCfg,
 			})
 			defer svc.Shutdown(context.Background())
 

@@ -13,9 +13,9 @@
 // Concurrency: a Service is safe for concurrent Submit/Wait/Stats calls.
 // All pool workers share one core.Pipeline (safe by that package's
 // contract) and one artifact cache (internally locked). Two parallelism
-// levels compose: Workers jobs run at once, and SymexWorkers explorer
-// goroutines run inside each job's P2/P3 symbolic execution; the default
-// auto-budget divides GOMAXPROCS between them.
+// levels compose: Workers jobs run at once, and Pipeline.SymexWorkers
+// explorer goroutines run inside each job's P2/P3 symbolic execution; the
+// default auto-budget divides GOMAXPROCS between them.
 package service
 
 import (
@@ -61,13 +61,6 @@ const (
 type Config struct {
 	// Workers is the worker-pool size; GOMAXPROCS when <= 0.
 	Workers int
-	// SymexWorkers is the per-job symbolic exploration budget: how many
-	// frontier explorer goroutines each verification's P2/P3 phase may use.
-	// 0 (the default) auto-budgets to max(1, GOMAXPROCS / Workers) so a
-	// fully loaded pool does not oversubscribe the machine; negative forces
-	// one explorer. The value (after auto-budgeting) is forwarded to
-	// Pipeline.SymexWorkers, overriding whatever that field holds.
-	SymexWorkers int
 	// QueueDepth bounds queued jobs; DefaultQueueDepth when 0.
 	QueueDepth int
 	// JobTimeout is the per-job deadline; 0 means none.
@@ -77,7 +70,10 @@ type Config struct {
 	CacheEntries int
 	// Pipeline configures the underlying core pipeline. Its Metrics is
 	// replaced by the service's own engine metrics, which /metrics and
-	// /v1/stats read.
+	// /v1/stats read. Its SymexWorkers is the per-job budget of frontier
+	// explorer goroutines: 0 auto-budgets to max(1, GOMAXPROCS / Workers)
+	// so a fully loaded pool does not oversubscribe the machine, a negative
+	// value selects one explorer, and a positive one passes through.
 	Pipeline core.Config
 	// Stores plugs the persistent tiered artifact stores (see OpenStores)
 	// behind every pipeline artifact class, the journal, and the
@@ -180,10 +176,10 @@ func New(cfg Config) *Service {
 	s.met = newServiceMetrics(s, s.reg)
 	pcfg := cfg.Pipeline
 	pcfg.Metrics = s.met.engines
-	if cfg.SymexWorkers != 0 {
-		pcfg.SymexWorkers = max(1, cfg.SymexWorkers)
-	} else {
+	if pcfg.SymexWorkers == 0 {
 		pcfg.SymexWorkers = max(1, runtime.GOMAXPROCS(0)/cfg.Workers)
+	} else {
+		pcfg.SymexWorkers = max(1, pcfg.SymexWorkers)
 	}
 	s.pl = core.New(pcfg)
 	s.pl.SetCaches(s.caches)

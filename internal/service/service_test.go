@@ -81,12 +81,12 @@ func TestSubmitWaitMatchesDirectVerify(t *testing.T) {
 	// so the service report is field-for-field comparable with a direct
 	// pipeline: the frontier engine's Report is deterministic for any worker
 	// count, but its Stats (steps, steals) legitimately vary with scheduling.
-	svc := service.New(service.Config{Workers: 2, SymexWorkers: 1, CacheEntries: -1})
+	svc := service.New(service.Config{Workers: 2, Pipeline: core.Config{SymexWorkers: 1}, CacheEntries: -1})
 	defer svc.Shutdown(context.Background())
 
-	for _, idx := range []int{1, 7, 9} {
-		spec := corpus.ByIdx(idx)
-		want, err := core.New(core.Config{}).Verify(corpus.ByIdx(idx).Pair)
+	for _, spec := range corpus.All() {
+		idx := spec.Idx
+		want, err := core.New(core.Config{}).Verify(spec.Pair)
 		if err != nil {
 			t.Fatalf("direct verify idx %d: %v", idx, err)
 		}
@@ -106,9 +106,9 @@ func TestSubmitWaitMatchesDirectVerify(t *testing.T) {
 }
 
 // TestNegativeSymexWorkersRunsOneExplorer pins the negative-budget mapping:
-// SymexWorkers < 0 selects one frontier explorer per job.
+// Pipeline.SymexWorkers < 0 selects one frontier explorer per job.
 func TestNegativeSymexWorkersRunsOneExplorer(t *testing.T) {
-	svc := service.New(service.Config{Workers: 1, SymexWorkers: -1, CacheEntries: -1})
+	svc := service.New(service.Config{Workers: 1, Pipeline: core.Config{SymexWorkers: -1}, CacheEntries: -1})
 	defer svc.Shutdown(context.Background())
 	job, err := svc.Submit(corpus.ByIdx(7).Pair)
 	if err != nil {
