@@ -194,26 +194,56 @@ func BenchmarkDiscover(b *testing.B) {
 	}
 }
 
-// BenchmarkSolver measures constraint solving on a representative guiding
-// input system: magic bytes, a word equality, a range, and a sum relation.
+// BenchmarkSolver measures constraint solving on two systems: a
+// representative guiding input system (magic bytes, a word equality, a
+// range and a sum relation, 7 constraints) and a path-length one, 64
+// constraints of the shapes a feasibility check re-sends at every fork:
+// magic bytes, ranges, disequalities and sums of a free and a magic byte.
+// The path system runs through Sat, as feasibility checks do.
 func BenchmarkSolver(b *testing.B) {
-	var cs []*expr.Expr
+	var guide []*expr.Expr
 	for i, c := range []byte("MPDF") {
-		cs = append(cs, expr.Bin(expr.OpEq, expr.Sym(i), expr.Const(uint64(c))))
+		guide = append(guide, expr.Bin(expr.OpEq, expr.Sym(i), expr.Const(uint64(c))))
 	}
 	word := expr.Bin(expr.OpOr, expr.Sym(4), expr.Bin(expr.OpShl, expr.Sym(5), expr.Const(8)))
-	cs = append(cs,
+	guide = append(guide,
 		expr.Bin(expr.OpEq, word, expr.Const(0x1234)),
 		expr.Bin(expr.OpLt, expr.Sym(6), expr.Const(10)),
 		expr.Bin(expr.OpEq, expr.Bin(expr.OpAdd, expr.Sym(7), expr.Sym(8)), expr.Const(300)),
 	)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var s solver.Solver
-		if _, err := s.Solve(cs); err != nil {
-			b.Fatal(err)
+	b.Run("guide7", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var s solver.Solver
+			if _, err := s.Solve(guide); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+
+	var path []*expr.Expr
+	for i := 0; i < 32; i++ {
+		path = append(path, expr.Bin(expr.OpEq, expr.Sym(i), expr.Const(uint64(0x41+i))))
 	}
+	for i := 32; i < 48; i++ {
+		path = append(path, expr.Bin(expr.OpLt, expr.Sym(i), expr.Const(uint64(16+i))))
+	}
+	for i := 32; i < 40; i++ {
+		path = append(path, expr.Bin(expr.OpNe, expr.Sym(i), expr.Const(0)))
+	}
+	for i := 48; i < 56; i++ {
+		sum := expr.Bin(expr.OpAdd, expr.Sym(i), expr.Sym(i-48))
+		path = append(path, expr.Bin(expr.OpLt, expr.Const(100), sum))
+	}
+	b.Run("path64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var s solver.Solver
+			if sat, err := s.Sat(path); err != nil || !sat {
+				b.Fatalf("Sat = %v, %v", sat, err)
+			}
+		}
+	})
 }
 
 // BenchmarkFuzzThroughput measures baseline fuzzing executions per second

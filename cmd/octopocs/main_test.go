@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"octopocs/internal/core"
 	"octopocs/internal/corpus"
 	"octopocs/internal/journal"
+	"octopocs/internal/service"
 )
 
 func TestRunArgumentValidation(t *testing.T) {
@@ -115,10 +117,29 @@ func TestPrioritizeReusesStore(t *testing.T) {
 	}
 }
 
-// TestScanHybridSource scans from a hybrid-set row (18-21), which has no
-// clone-detection ground truth row.
+// TestScanHybridSource scans from a hybrid-set row (18-21): the corpus
+// index holds all 21 targets and ranks row 19's own target first.
 func TestScanHybridSource(t *testing.T) {
-	if err := run([]string{"scan", "-source", "19", "-retrieve-only"}); err != nil {
+	out := filepath.Join(t.TempDir(), "scan.json")
+	if err := run([]string{"scan", "-source", "19", "-retrieve-only", "-json", out}); err != nil {
 		t.Fatalf("run(scan -source 19) = %v", err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var statuses []service.ScanStatus
+	if err := json.Unmarshal(data, &statuses); err != nil {
+		t.Fatal(err)
+	}
+	if len(statuses) != 1 {
+		t.Fatalf("got %d scans, want 1", len(statuses))
+	}
+	st := statuses[0]
+	if st.Index.Targets != 21 {
+		t.Errorf("indexed %d targets, want 21", st.Index.Targets)
+	}
+	if len(st.Candidates) == 0 || st.Candidates[0].Target != "corpus/19" {
+		t.Errorf("candidates = %+v, want corpus/19 first", st.Candidates)
 	}
 }

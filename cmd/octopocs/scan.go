@@ -16,7 +16,7 @@ import (
 // over the built-in corpus followed by batch verification of every ranked
 // candidate, through the same service pool as -all.
 //
-//	octopocs scan -source 7              fan row 7's CVE across all 17 targets
+//	octopocs scan -source 7              fan row 7's CVE across all 21 targets
 //	octopocs scan -source 7 -find-ep     anchor candidates on the derived ep
 //	octopocs scan -source 7 -retrieve-only  rank only, skip verification
 //	octopocs scan -all-sources           scan every corpus CVE in turn
@@ -44,7 +44,7 @@ func runScan(args []string) error {
 	var sources []int
 	switch {
 	case *allSources:
-		for _, spec := range append(corpus.All(), corpus.StaticSet()...) {
+		for _, spec := range corpus.Rows() {
 			sources = append(sources, spec.Idx)
 		}
 	case *source != 0:
@@ -59,7 +59,7 @@ func runScan(args []string) error {
 
 	svc := service.New(service.Config{
 		Workers:    *workers,
-		QueueDepth: 17 * len(sources),
+		QueueDepth: len(corpus.Rows()) * len(sources),
 		Logger:     logger,
 	})
 	defer svc.Shutdown(context.Background())

@@ -7,9 +7,12 @@ import "sort"
 // detection over the corpus should retrieve exactly the same-family targets
 // for any family member's source program.
 //
-// The 17 rows fall into ten families: jpegc (1, 2), pdfscan (3), avdec (4),
-// tjdec (5), pdfbox (6, 14), j2k (7, 8, 13), gifread (9), tiff (10, 11, 12),
-// pdfnum (15), and rlepack (16, 17).
+// The 21 rows fall into eleven families: jpegc (1, 2), pdfscan (3), avdec
+// (4), tjdec (5), pdfbox (6, 14), j2k (7, 8, 13), gifread (9), tiff (10, 11,
+// 12), pdfnum (15), rlepack (16, 17), and decode (18-21). The four
+// hybrid-fallback rows (dlscan, cksum, twomag, lprec) guard one verbatim
+// copy of the same ℓ, decode(), behind different structure, so retrieval
+// from any of their sources rightly ranks all four targets.
 var cloneFamilies = map[int]string{
 	1: "jpegc", 2: "jpegc",
 	3:  "pdfscan",
@@ -24,6 +27,7 @@ var cloneFamilies = map[int]string{
 	14: "pdfbox",
 	15: "pdfnum",
 	16: "rlepack", 17: "rlepack",
+	18: "decode", 19: "decode", 20: "decode", 21: "decode",
 }
 
 // cloneVariants marks the rows whose target carries a Type-variant clone of
@@ -37,7 +41,7 @@ var cloneVariants = map[int]bool{13: true, 14: true, 16: true, 17: true}
 // detector must recover, and whether end-to-end verification of the
 // discovered candidate should confirm it (triggered) or refute it.
 type CloneTruthRow struct {
-	// Idx is the corpus row number (1-17).
+	// Idx is the corpus row number (1-21).
 	Idx int
 	// Family groups rows sharing the same vulnerable library.
 	Family string
@@ -57,11 +61,11 @@ type CloneTruthRow struct {
 	ExpectTriggered bool
 }
 
-// CloneTruth returns the clone-detection ground truth for all 17 corpus
-// rows (Table II plus the static-prune set), in row order. Rows are rebuilt
-// on each call; callers may mutate them freely.
+// CloneTruth returns the clone-detection ground truth for all 21 corpus
+// rows (Table II, the static-prune set and the hybrid-fallback set), in row
+// order. Rows are rebuilt on each call; callers may mutate them freely.
 func CloneTruth() []CloneTruthRow {
-	specs := append(All(), StaticSet()...)
+	specs := Rows()
 	rows := make([]CloneTruthRow, 0, len(specs))
 	for _, s := range specs {
 		lib := make([]string, 0, len(s.Pair.Lib))

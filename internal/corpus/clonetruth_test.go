@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestCloneTruthCoversAllRows pins the ground-truth table to the 17 corpus
+// TestCloneTruthCoversAllRows pins the ground-truth table to the 21 corpus
 // rows: complete, in order, with a family and a non-empty ℓ for every row.
 func TestCloneTruthCoversAllRows(t *testing.T) {
 	rows := CloneTruth()
-	if len(rows) != 17 {
-		t.Fatalf("CloneTruth: got %d rows, want 17", len(rows))
+	if len(rows) != 21 {
+		t.Fatalf("CloneTruth: got %d rows, want 21", len(rows))
 	}
 	for i, r := range rows {
 		if r.Idx != i+1 {
@@ -57,7 +57,8 @@ func TestCloneTruthMatchesPairSpecs(t *testing.T) {
 }
 
 // TestCloneTruthFamilies pins the family partition, including the
-// Type-variant members 13/14 and the static-prune rows 16/17.
+// Type-variant members 13/14, the static-prune rows 16/17 and the
+// hybrid-fallback rows 18-21, which share one ℓ.
 func TestCloneTruthFamilies(t *testing.T) {
 	want := map[string][]int{
 		"jpegc":   {1, 2},
@@ -70,6 +71,7 @@ func TestCloneTruthFamilies(t *testing.T) {
 		"tiff":    {10, 11, 12},
 		"pdfnum":  {15},
 		"rlepack": {16, 17},
+		"decode":  {18, 19, 20, 21},
 	}
 	seen := 0
 	for fam, idxs := range want {
@@ -83,8 +85,8 @@ func TestCloneTruthFamilies(t *testing.T) {
 			seen++
 		}
 	}
-	if seen != 17 {
-		t.Fatalf("family partition covers %d rows, want 17", seen)
+	if seen != 21 {
+		t.Fatalf("family partition covers %d rows, want 21", seen)
 	}
 	// Same-family rows must actually share ℓ function names, otherwise the
 	// family is not a clone family at all.

@@ -83,21 +83,18 @@ func All() []*PairSpec {
 	}
 }
 
+// Rows returns all 21 corpus rows in row order: Table II (1-15), the
+// static-prune pairs (16-17) and the hybrid-fallback pairs (18-21).
+// Programs are rebuilt on each call, so callers may mutate them freely.
+func Rows() []*PairSpec {
+	return append(append(All(), StaticSet()...), HybridSet()...)
+}
+
 // ByIdx returns the pair with the given row number — a Table II row (1-15),
 // a static-prune pair (16-17), or a hybrid-fallback pair (18-21) — or nil.
 func ByIdx(idx int) *PairSpec {
-	for _, s := range All() {
-		if s != nil && s.Idx == idx {
-			return s
-		}
-	}
-	for _, s := range StaticSet() {
-		if s != nil && s.Idx == idx {
-			return s
-		}
-	}
-	for _, s := range HybridSet() {
-		if s != nil && s.Idx == idx {
+	for _, s := range Rows() {
+		if s.Idx == idx {
 			return s
 		}
 	}

@@ -12,9 +12,11 @@
 //
 // Concurrency: nodes are immutable after construction and safe to share
 // between goroutines. The lazily computed per-node caches (symbol support,
-// possible-bits mask, structural fingerprint) are published with atomic
-// operations; concurrent computation is idempotent, so the worst case is
-// duplicated work, never a torn read. This is what lets the parallel
+// possible-bits mask, structural fingerprint, and the complement Not
+// builds) are published with atomic operations; concurrent computation is
+// idempotent up to node identity (two racing Not calls may each keep their
+// own, structurally equal complement), so the worst case is duplicated
+// work, never a torn read. This is what lets the parallel
 // symbolic-execution frontier share expression trees between sibling states
 // without cloning them.
 package expr
@@ -107,6 +109,7 @@ type Expr struct {
 	syms atomic.Pointer[[]int]    // cached sorted support
 	mask atomic.Pointer[maskInfo] // cached possible-bits bound
 	fp   atomic.Uint64            // cached structural fingerprint; 0 = unset
+	not  atomic.Pointer[Expr]     // cached Not(e)
 }
 
 // maskInfo is the cached result of computeMask.
@@ -443,8 +446,21 @@ func maskRewrite(op Op, x *Expr, c uint64) *Expr {
 	return nil
 }
 
-// Not returns a boolean expression that is 1 iff e is 0.
+// Not returns a boolean expression that is 1 iff e is 0. The result is
+// cached on e, so complementing a long-lived path constraint again, as
+// every solve's complement scan and every else-branch of the executor do,
+// costs O(1) and returns the same node.
 func Not(e *Expr) *Expr {
+	if n := e.not.Load(); n != nil {
+		return n
+	}
+	n := complement(e)
+	e.not.Store(n)
+	return n
+}
+
+// complement builds Not(e) without consulting the cache.
+func complement(e *Expr) *Expr {
 	if v, ok := e.IsConst(); ok {
 		return Const(b2w(v == 0))
 	}

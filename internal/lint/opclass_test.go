@@ -1,10 +1,12 @@
 package lint
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -123,8 +125,11 @@ func TestOpClassFamiliesMatchISA(t *testing.T) {
 			}
 		}
 	}
-	for fam, members := range opClassFamilies {
-		for _, name := range members {
+	for fam, f := range opClassFamilies {
+		if f.pkg != "isa" {
+			continue
+		}
+		for _, name := range f.members {
 			if !declared[name] {
 				t.Errorf("%s member %s is not declared in internal/isa", fam, name)
 			}
@@ -137,14 +142,139 @@ func TestOpClassFamiliesMatchISA(t *testing.T) {
 	// iota blocks (a new member shifts no existing value).
 	for name := range declared {
 		if strings.HasPrefix(name, "Op") && name != "Op" && !strings.HasPrefix(name, "Opt") {
-			if opClassMember[name] != "isa.Op" {
+			if opClassMember["isa."+name] != "isa.Op" {
 				t.Errorf("isa.%s looks like an Op constant but is not in the opclass family list", name)
 			}
 		}
 		if strings.HasPrefix(name, "Sys") && name != "Sys" {
-			if opClassMember[name] != "isa.Sys" {
+			if opClassMember["isa."+name] != "isa.Sys" {
 				t.Errorf("isa.%s looks like a Sys constant but is not in the opclass family list", name)
 			}
+		}
+	}
+}
+
+// TestOpClassCoversVerdictsAndReasons checks the verdict and reason
+// families everywhere, qualified outside internal/core and by bare name
+// inside it: a partial switch without a default is flagged with its
+// missing members, and an exhaustive or defaulted one is not.
+func TestOpClassCoversVerdictsAndReasons(t *testing.T) {
+	qualified := `package p
+import "octopocs/internal/core"
+func f(v core.Verdict) string {
+	switch v {
+	case core.VerdictTriggered:
+		return "t"
+	case core.VerdictNotTriggerable, core.VerdictFailure:
+		return "n"
+	}
+	return ""
+}
+`
+	diags := runFixture(t, "octopocs/internal/service", qualified, []*Analyzer{OpClass})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "core.Verdict") ||
+		!strings.Contains(diags[0].Message, "VerdictTriggeredByFuzzing") {
+		t.Errorf("partial qualified verdict switch: got %v, want one diagnostic naming VerdictTriggeredByFuzzing", diags)
+	}
+
+	inPackage := `package core
+func g(r Reason) bool {
+	switch r {
+	case ReasonLoopDead, ReasonBudget:
+		return true
+	}
+	return false
+}
+`
+	diags = runFixture(t, "octopocs/internal/core", inPackage, []*Analyzer{OpClass})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "core.Reason") ||
+		!strings.Contains(diags[0].Message, "ReasonStaticUnreachable") {
+		t.Errorf("partial in-package reason switch: got %v, want one diagnostic naming ReasonStaticUnreachable", diags)
+	}
+	// The same bare names outside internal/core are some other package's
+	// identifiers.
+	if diags := runFixture(t, "octopocs/internal/corpus", strings.Replace(inPackage, "package core", "package corpus", 1), []*Analyzer{OpClass}); len(diags) != 0 {
+		t.Errorf("bare names outside internal/core flagged: %v", diags)
+	}
+
+	compliant := map[string]string{
+		"default": `package p
+import "octopocs/internal/core"
+func f(r core.Reason) bool {
+	switch r {
+	case core.ReasonNone:
+		return false
+	default:
+		return true
+	}
+}
+`,
+		"exhaustive": `package core
+func f(v Verdict) int {
+	switch v {
+	case VerdictTriggered, VerdictTriggeredByFuzzing:
+		return 1
+	case VerdictNotTriggerable, VerdictFailure:
+		return 0
+	}
+	return -1
+}
+`,
+	}
+	for name, src := range compliant {
+		if diags := runFixture(t, "octopocs/internal/core", src, []*Analyzer{OpClass}); len(diags) != 0 {
+			t.Errorf("%s: got diagnostics, want none: %v", name, diags)
+		}
+	}
+}
+
+// TestOpClassFamiliesMatchCore cross-checks the verdict and reason lists
+// against the constants internal/core declares with those types, in both
+// directions, so a new verdict or reason cannot escape the lint.
+func TestOpClassFamiliesMatchCore(t *testing.T) {
+	_, self, _, ok := runtime.Caller(0)
+	if !ok {
+		t.Fatal("runtime.Caller failed")
+	}
+	coreDir := filepath.Join(filepath.Dir(filepath.Dir(self)), "core")
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, coreDir, nil, 0)
+	if err != nil {
+		t.Fatalf("parse %s: %v", coreDir, err)
+	}
+	declared := map[string][]string{} // type name → constants
+	for _, pkg := range pkgs {
+		if pkg.Name != "core" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.CONST {
+					continue
+				}
+				typ := ""
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					if id, ok := vs.Type.(*ast.Ident); ok {
+						typ = id.Name
+					} else if vs.Type != nil || len(vs.Values) > 0 {
+						typ = "" // an untyped or other-typed constant
+					}
+					for _, n := range vs.Names {
+						declared[typ] = append(declared[typ], n.Name)
+					}
+				}
+			}
+		}
+	}
+	for _, typ := range []string{"Verdict", "Reason"} {
+		got := slices.Clone(declared[typ])
+		want := slices.Clone(opClassFamilies["core."+typ].members)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("core.%s constants %v, opclass family %v", typ, got, want)
 		}
 	}
 }

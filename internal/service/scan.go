@@ -51,7 +51,7 @@ type ScanTargetSpec struct {
 // ScanRequest is the POST /v1/scan body: one source CVE fanned across a
 // target corpus. The source is given inline (assembled MIR text, poc bytes,
 // vulnerable function names) or as a built-in corpus row via corpus_idx; the
-// target side is inline programs, the built-in 17-row corpus, or both.
+// target side is inline programs, the built-in 21-row corpus, or both.
 type ScanRequest struct {
 	// Name labels the scan; defaults to the source program name.
 	Name string `json:"name,omitempty"`
@@ -71,7 +71,7 @@ type ScanRequest struct {
 	CorpusIdx int `json:"corpus_idx,omitempty"`
 	// Targets are inline target programs to index.
 	Targets []ScanTargetSpec `json:"targets,omitempty"`
-	// CorpusTargets additionally indexes all 17 built-in corpus targets
+	// CorpusTargets additionally indexes all 21 built-in corpus targets
 	// (keyed corpus/NN).
 	CorpusTargets bool `json:"corpus_targets,omitempty"`
 	// MinScore and TopK tune retrieval (see clonedet.Config).
@@ -180,7 +180,7 @@ func (r *ScanRequest) buildTargets() ([]clonedet.Target, map[string]*isa.Program
 		add(key, prog)
 	}
 	if r.CorpusTargets {
-		for _, spec := range append(corpus.All(), corpus.StaticSet()...) {
+		for _, spec := range corpus.Rows() {
 			add(fmt.Sprintf("corpus/%02d", spec.Idx), spec.Pair.T)
 		}
 	}

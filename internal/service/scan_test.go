@@ -28,11 +28,13 @@ func scanFamilyKeys(family string) map[string]bool {
 func scanKey(idx int) string { return fmt.Sprintf("corpus/%02d", idx) }
 
 // TestScanEndToEndConfirmed drives the full batch flow for every corpus
-// CVE: each scan indexes all 17 corpus targets, retrieval must stay within
+// CVE: each scan indexes all 21 corpus targets, retrieval must stay within
 // the source's clone family and surface the true pair, and verification
 // must agree with Table II on the true pair and never confirm a candidate
 // whose own row is not triggerable. The retrieval totals are the ones
-// EXPERIMENTS quotes: macro precision and recall 1.0, MRR 40/51.
+// EXPERIMENTS quotes: macro precision and recall 1.0, MRR 52/63 (rows
+// 1-17 sum to 40/3 reciprocal ranks, and each hybrid-fallback row ranks
+// its own target first).
 func TestScanEndToEndConfirmed(t *testing.T) {
 	svc := service.New(service.Config{Workers: 2})
 	defer svc.Shutdown(context.Background())
@@ -54,8 +56,8 @@ func TestScanEndToEndConfirmed(t *testing.T) {
 		if st.State != "done" {
 			t.Fatalf("row %d: scan state = %q, want done", truth.Idx, st.State)
 		}
-		if st.Index.Targets != 17 {
-			t.Errorf("row %d: indexed %d targets, want 17", truth.Idx, st.Index.Targets)
+		if st.Index.Targets != 21 {
+			t.Errorf("row %d: indexed %d targets, want 21", truth.Idx, st.Index.Targets)
 		}
 		family := scanFamilyKeys(truth.Family)
 		var diagonal *service.ScanCandidate
@@ -106,8 +108,8 @@ func TestScanEndToEndConfirmed(t *testing.T) {
 	if r := sumR / n; r != 1 {
 		t.Errorf("mean recall = %.3f, want 1", r)
 	}
-	if mrr := sumRR / n; math.Abs(mrr-40.0/51) > 1e-9 {
-		t.Errorf("MRR = %.4f, want 40/51 = %.4f", mrr, 40.0/51)
+	if mrr := sumRR / n; math.Abs(mrr-52.0/63) > 1e-9 {
+		t.Errorf("MRR = %.4f, want 52/63 = %.4f", mrr, 52.0/63)
 	}
 
 	// The scans surface through the listing APIs.
@@ -355,5 +357,34 @@ func TestScanConfirmsFuzzingRescue(t *testing.T) {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("exposition lacks %q", strings.TrimSpace(want))
 		}
+	}
+}
+
+// TestScanCorpusTargetsRescueHybridRow scans row 19's CVE over the built-in
+// corpus targets with hybrid fuzzing on: the index must hold the hybrid
+// rows, rank row 19's own target first, and confirm it through the fuzzing
+// fallback. TopK 1 verifies only that candidate.
+func TestScanCorpusTargetsRescueHybridRow(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1, Pipeline: core.Config{HybridFuzz: true}})
+	defer svc.Shutdown(context.Background())
+
+	sc, err := svc.StartScan(&service.ScanRequest{CorpusIdx: 19, CorpusTargets: true, TopK: 1})
+	if err != nil {
+		t.Fatalf("StartScan: %v", err)
+	}
+	if err := sc.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := sc.Snapshot()
+	if st.Index.Targets != 21 {
+		t.Errorf("indexed %d targets, want 21", st.Index.Targets)
+	}
+	if len(st.Candidates) != 1 || st.Candidates[0].Target != scanKey(19) {
+		t.Fatalf("candidates = %+v, want only %s", st.Candidates, scanKey(19))
+	}
+	cand := st.Candidates[0]
+	if cand.Verdict != core.VerdictTriggeredByFuzzing.String() || !cand.Confirmed || st.Confirmed != 1 {
+		t.Errorf("row 19 candidate = %+v (scan confirmed %d), want a confirmed %s",
+			cand, st.Confirmed, core.VerdictTriggeredByFuzzing)
 	}
 }

@@ -2,6 +2,8 @@ package solver
 
 import (
 	"container/list"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,46 +31,46 @@ const cacheShards = 16
 // vanishingly unlikely at cache-lifetime scales.
 type CacheKey [2]uint64
 
-// SatKey canonicalizes a constraint set into its cache key.
+// SatKey canonicalizes a constraint set into its cache key: the
+// fingerprints are sorted with slices.Sort (path order is
+// fingerprint-random, so no order can be assumed), and the distinct ones
+// are folded, one whole word per step, into two lanes with distinct seeds
+// and multipliers. Sets of up to satKeyStack constraints are keyed without
+// allocating. Keys live only in memory, never in a persistent store, so the
+// mixing may change between versions; only its set semantics are fixed.
 func SatKey(constraints []*expr.Expr) CacheKey {
-	fps := make([]uint64, len(constraints))
-	for i, c := range constraints {
-		fps[i] = c.Fingerprint()
+	var stack [satKeyStack]uint64
+	fps := stack[:0]
+	if len(constraints) > len(stack) {
+		fps = make([]uint64, 0, len(constraints))
 	}
-	// Insertion sort: constraint sets are small and mostly sorted between
-	// consecutive checks on the same path.
-	for i := 1; i < len(fps); i++ {
-		for j := i; j > 0 && fps[j] < fps[j-1]; j-- {
-			fps[j], fps[j-1] = fps[j-1], fps[j]
-		}
+	for _, c := range constraints {
+		fps = append(fps, c.Fingerprint())
 	}
-	// Two FNV-1a lanes with distinct offset bases over the deduplicated
-	// sequence; sortedness makes the key order-insensitive, the skip makes
-	// it multiplicity-insensitive.
+	slices.Sort(fps)
 	const (
-		fnvPrime = 1099511628211
-		offsetA  = 14695981039346656037
-		offsetB  = 0x6c62272e07bb0142
+		mulA  = 0x9e3779b97f4a7c15
+		mulB  = 0xc2b2ae3d27d4eb4f
+		seedA = 0xcbf29ce484222325
+		seedB = 0x6c62272e07bb0142
 	)
-	a, b := uint64(offsetA), uint64(offsetB)
-	var prev uint64
+	a, b := uint64(seedA), uint64(seedB)
 	for i, fp := range fps {
-		if i > 0 && fp == prev {
+		if i > 0 && fp == fps[i-1] {
 			continue
 		}
-		prev = fp
-		for s := 0; s < 64; s += 8 {
-			byteVal := (fp >> s) & 0xFF
-			a = (a ^ byteVal) * fnvPrime
-			b = (b ^ byteVal) * fnvPrime
-		}
-		b = fpMixLane(b)
+		a = bits.RotateLeft64((a^fp)*mulA, 31)
+		b = fpMixLane((b + fp) * mulB)
 	}
-	return CacheKey{a, b}
+	return CacheKey{fpMixLane(a), b}
 }
 
-// fpMixLane decorrelates the second FNV lane from the first so the two
-// halves of the key fail independently.
+// satKeyStack is how many fingerprints SatKey sorts in a stack buffer,
+// about twice the mean path condition of a corpus feasibility check.
+const satKeyStack = 128
+
+// fpMixLane decorrelates the second lane from the first, and finalizes the
+// first, so the two halves of the key fail independently.
 func fpMixLane(x uint64) uint64 {
 	x ^= x >> 29
 	x *= 0xff51afd7ed558ccd

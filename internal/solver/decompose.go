@@ -16,8 +16,9 @@ import "octopocs/internal/expr"
 //	Eq(Shl(a,k), c) → Eq(a, c>>k)     (UNSAT when c has low bits set)
 //	Eq(Add(a,k), c) → Eq(a, c-k)
 //	Eq(Xor(a,k), c) → Eq(a, c^k)
-func decompose(cs []*expr.Expr) []*expr.Expr {
-	out := make([]*expr.Expr, 0, len(cs))
+//
+// The rewritten constraints are appended to out.
+func decompose(out, cs []*expr.Expr) []*expr.Expr {
 	for _, c := range cs {
 		out = appendDecomposed(out, c)
 	}

@@ -16,7 +16,7 @@ func TestDecomposeWordEquality(t *testing.T) {
 			expr.Sym(0),
 			expr.Bin(expr.OpShl, expr.Sym(1), expr.Const(8))),
 		expr.Bin(expr.OpShl, expr.Sym(2), expr.Const(16)))
-	cs := decompose([]*expr.Expr{expr.Bin(expr.OpEq, word, expr.Const(0xCCBBAA))})
+	cs := decompose(nil, []*expr.Expr{expr.Bin(expr.OpEq, word, expr.Const(0xCCBBAA))})
 	if len(cs) != 3 {
 		t.Fatalf("decomposed into %d constraints, want 3: %v", len(cs), cs)
 	}
@@ -30,7 +30,7 @@ func TestDecomposeWordEquality(t *testing.T) {
 func TestDecomposeDetectsImpossibleBits(t *testing.T) {
 	// Bits outside the representable mask make the equality impossible.
 	word := expr.Bin(expr.OpOr, expr.Sym(0), expr.Bin(expr.OpShl, expr.Sym(1), expr.Const(8)))
-	cs := decompose([]*expr.Expr{expr.Bin(expr.OpEq, word, expr.Const(0x1_0000))})
+	cs := decompose(nil, []*expr.Expr{expr.Bin(expr.OpEq, word, expr.Const(0x1_0000))})
 	if len(cs) != 1 {
 		t.Fatalf("constraints = %v", cs)
 	}
@@ -42,13 +42,13 @@ func TestDecomposeDetectsImpossibleBits(t *testing.T) {
 func TestDecomposeShiftLowBits(t *testing.T) {
 	// (in0 << 8) == 0x1234 is impossible: low bits set.
 	c := expr.Bin(expr.OpEq, expr.Bin(expr.OpShl, expr.Sym(0), expr.Const(8)), expr.Const(0x1234))
-	cs := decompose([]*expr.Expr{c})
+	cs := decompose(nil, []*expr.Expr{c})
 	if v, ok := cs[0].IsConst(); !ok || v != 0 {
 		t.Errorf("want constant-0, got %v", cs[0])
 	}
 	// (in0 << 8) == 0x1200 pins in0 == 0x12.
 	c = expr.Bin(expr.OpEq, expr.Bin(expr.OpShl, expr.Sym(0), expr.Const(8)), expr.Const(0x1200))
-	cs = decompose([]*expr.Expr{c})
+	cs = decompose(nil, []*expr.Expr{c})
 	want := expr.Bin(expr.OpEq, expr.Sym(0), expr.Const(0x12))
 	if len(cs) != 1 || !cs[0].Equal(want) {
 		t.Errorf("got %v, want %v", cs, want)
@@ -56,7 +56,7 @@ func TestDecomposeShiftLowBits(t *testing.T) {
 }
 
 func TestDecomposeAddXor(t *testing.T) {
-	cs := decompose([]*expr.Expr{
+	cs := decompose(nil, []*expr.Expr{
 		expr.Bin(expr.OpEq, expr.Bin(expr.OpAdd, expr.Sym(0), expr.Const(5)), expr.Const(12)),
 		expr.Bin(expr.OpEq, expr.Bin(expr.OpXor, expr.Sym(1), expr.Const(0xF0)), expr.Const(0xFF)),
 	})
@@ -74,7 +74,7 @@ func TestDecomposeLeavesOthersAlone(t *testing.T) {
 		expr.Bin(expr.OpNe, expr.Sym(0), expr.Sym(1)),
 		expr.Bin(expr.OpEq, expr.Sym(0), expr.Sym(1)), // rhs not const
 	}
-	cs := decompose(keep)
+	cs := decompose(nil, keep)
 	if len(cs) != len(keep) {
 		t.Fatalf("constraints = %v", cs)
 	}
@@ -101,7 +101,7 @@ func TestDecomposeEquisatisfiable(t *testing.T) {
 			}
 		}
 		c := expr.Bin(expr.OpEq, word, expr.Const(rng.Uint64()>>(64-8*n)))
-		cs := decompose([]*expr.Expr{c})
+		cs := decompose(nil, []*expr.Expr{c})
 
 		input := make([]byte, 4)
 		rng.Read(input)

@@ -54,10 +54,12 @@ func (st *state) bound(e *expr.Expr) (lo, hi uint64, ok bool) {
 	case expr.OpConst:
 		return e.Val, e.Val, true
 	case expr.OpSym:
-		if v, assigned := st.lookup(e.Sym); assigned {
+		si := st.slot[e.Sym] - 1
+		if st.assigned[si] {
+			v := uint64(st.values[si])
 			return v, v, true
 		}
-		d := &st.domains[st.symIdx[e.Sym]]
+		d := &st.domains[si]
 		first, nonEmpty := d.first()
 		if !nonEmpty {
 			return 0, 0, false

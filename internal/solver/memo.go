@@ -41,12 +41,12 @@ type filterOutcome struct {
 func (st *state) memoKey(ci int) uint64 {
 	c := st.constraints[ci]
 	sig := append(st.sig[:0], c.Fingerprint())
-	for _, sym := range st.support[ci] {
-		if v, ok := st.lookup(sym); ok {
-			sig = append(sig, 256+v)
+	for _, si := range st.support(ci) {
+		if st.assigned[si] {
+			sig = append(sig, 256+uint64(st.values[si]))
 			continue
 		}
-		d := &st.domains[st.symIdx[sym]]
+		d := &st.domains[si]
 		sig = append(sig, 0, d[0], d[1], d[2], d[3])
 	}
 	st.sig = sig

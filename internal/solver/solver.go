@@ -35,18 +35,25 @@
 // same model and the same budget outcome with or without the shortcuts,
 // at every budget.
 //
-// Concurrency: a Solver value is stateless between calls — each Solve
-// builds private search state — so one Solver may be used from many
-// goroutines, and the attached Metrics (atomic counters) and Cache
-// (sharded, mutex-guarded) are safe to share. Solutions are deterministic:
-// the search enumerates domains in ascending order, so the same constraint
-// set always yields the same model.
+// Concurrency: a Solver value is stateless between calls, so one Solver
+// may be used from many goroutines, and the attached Metrics (atomic
+// counters) and Cache (sharded, mutex-guarded) are safe to share. Each
+// solve takes a search state from a package-wide sync.Pool, owns it alone
+// until it ends, and gives it back cleared of every expression and cache
+// reference: the state's slices, the per-depth snapshots and the
+// complement scan's index keep their capacity, so a warm feasibility check
+// allocates nothing for its scaffolding. Solutions are deterministic: the
+// search enumerates domains in ascending order, and nothing a state keeps
+// between solves is read before it is reset, so the same constraint set
+// always yields the same model.
 package solver
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"octopocs/internal/expr"
 	"octopocs/internal/faultinject"
@@ -165,23 +172,33 @@ func (d *domain) next() (byte, bool) {
 	return 0, false
 }
 
-// state is the mutable search state.
+// state is the mutable search state. Solves take one from statePool and
+// give it back when they end, so the slices below keep their capacity from
+// solve to solve: a solve resizes and clears what it reads and rebuilds
+// nothing from scratch.
 type state struct {
 	constraints []*expr.Expr
-	support     [][]int // per-constraint sorted syms
-	symIdx      map[int]int
-	syms        []int // all syms, sorted by first appearance
-	domains     []domain
-	assigned    []bool
-	values      []byte
+	// sup lists, for constraint ci, the symbol indices of its support in
+	// ascending symbol order at sup[supOff[ci]:supOff[ci+1]].
+	sup    []int
+	supOff []int
+	// slot maps a symbol id to its symbol index plus one; 0 marks a symbol
+	// the system does not mention.
+	slot     []int
+	syms     []int // all syms, sorted by first appearance
+	domains  []domain
+	assigned []bool
+	values   []byte
 	// assignedSym/valueSym mirror assigned/values indexed directly by
-	// symbol id, so expression evaluation avoids map lookups on the hot
-	// path.
+	// symbol id, so expression evaluation avoids the slot indirection on
+	// the hot path.
 	assignedSym []bool
 	valueSym    []byte
-	// watch[i] lists constraint indices mentioning symbol index i.
-	watch  [][]int
-	budget int64
+	// watch lists, for symbol index si, the constraints mentioning it at
+	// watch[watchOff[si]:watchOff[si+1]], in ascending order.
+	watch    []int
+	watchOff []int
+	budget   int64
 	// evaluated counts the constraint evaluations actually run, as
 	// opposed to the ones charged to the budget.
 	evaluated int64
@@ -195,13 +212,16 @@ type state struct {
 	// Scratch space reused across calls, so that propagation, filtering
 	// and search allocate nothing per call: the propagation queue and its
 	// membership flags, filter's unassigned support and narrowed symbols,
-	// and search's snapshots, one per depth, shared by all the levels at
-	// that depth.
+	// search's snapshots, one per depth, shared by all the levels at that
+	// depth, and the complement scan's fingerprint index — the first
+	// constraint with each fingerprint in byFp, the next one in chain.
 	queue    []int
 	inQueue  []bool
 	un       [3]int
 	narrowed [2]int
 	saves    []snapshot
+	byFp     map[uint64]int32
+	chain    []int32
 }
 
 // snapshot is the search state a level starts from.
@@ -209,6 +229,33 @@ type snapshot struct {
 	domains  []domain
 	assigned []bool
 	values   []byte
+}
+
+// statePool holds the search states of finished solves. Outside a solve
+// every slot and assignedSym entry is zero and no expression is held.
+var statePool = sync.Pool{New: func() any { return &state{byFp: make(map[uint64]int32)} }}
+
+// resize returns s with length n, reusing its storage when large enough.
+// The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// release restores the pooled invariant: the symbol-indexed arrays are
+// zeroed where this solve wrote them, and no *expr.Expr or Cache stays
+// reachable from the state.
+func (st *state) release() {
+	for _, sym := range st.syms {
+		st.slot[sym] = 0
+		st.assignedSym[sym] = false
+	}
+	clear(st.constraints)
+	st.constraints = st.constraints[:0]
+	st.syms = st.syms[:0]
+	st.memo = nil
 }
 
 // assign sets symbol index si to v, updating both views.
@@ -226,31 +273,44 @@ func (st *state) unassign(si int) {
 	st.assignedSym[st.syms[si]] = false
 }
 
+// support returns the symbol indices of constraint ci's support.
+func (st *state) support(ci int) []int {
+	return st.sup[st.supOff[ci]:st.supOff[ci+1]]
+}
+
+// watchers returns the constraints mentioning symbol index si.
+func (st *state) watchers(si int) []int {
+	return st.watch[st.watchOff[si]:st.watchOff[si+1]]
+}
+
 // Solve returns a model satisfying every constraint (each must evaluate to
 // a non-zero value), ErrUnsat, or ErrBudget.
 func (s *Solver) Solve(constraints []*expr.Expr) (Model, error) {
-	return s.solveWith(constraints, s.Cache)
+	return s.solveWith(constraints, s.Cache, true)
 }
 
-// solveWith is Solve with the filter memo taken from memo.
-func (s *Solver) solveWith(constraints []*expr.Expr, memo *Cache) (Model, error) {
+// solveWith is Solve with the filter memo taken from memo; the model is
+// built only when wantModel is set.
+func (s *Solver) solveWith(constraints []*expr.Expr, memo *Cache, wantModel bool) (Model, error) {
 	if err := s.Faults.Err(faultinject.SolverTimeout); err != nil {
 		s.Metrics.observe(err)
 		return nil, err
 	}
-	model, err := s.solve(constraints, memo)
+	st := statePool.Get().(*state)
+	model, err := s.solve(st, constraints, memo, wantModel)
+	statePool.Put(st)
 	s.Metrics.observe(err)
 	return model, err
 }
 
-func (s *Solver) solve(constraints []*expr.Expr, memo *Cache) (Model, error) {
-	st := &state{
-		symIdx:     make(map[int]int),
-		budget:     s.Budget,
-		noInterval: s.noInterval,
-		noFold:     s.noFold,
-		memo:       memo,
-	}
+// solve runs one solve on st, which it leaves released.
+func (s *Solver) solve(st *state, constraints []*expr.Expr, memo *Cache, wantModel bool) (Model, error) {
+	defer st.release()
+	st.budget = s.Budget
+	st.evaluated = 0
+	st.noInterval = s.noInterval
+	st.noFold = s.noFold
+	st.memo = memo
 	if st.budget <= 0 {
 		st.budget = DefaultBudget
 	}
@@ -260,16 +320,17 @@ func (s *Solver) solve(constraints []*expr.Expr, memo *Cache) (Model, error) {
 	}
 
 	// Constant constraints decide immediately; others register.
-	for _, c := range decompose(constraints) {
-		if v, ok := c.IsConst(); ok {
-			if v == 0 {
-				return nil, ErrUnsat
-			}
-			continue
+	st.constraints = decompose(st.constraints[:0], constraints)
+	for _, c := range st.constraints {
+		if v, ok := c.IsConst(); ok && v == 0 {
+			return nil, ErrUnsat
 		}
-		st.constraints = append(st.constraints, c)
-		st.support = append(st.support, c.Syms())
 	}
+	st.constraints = slices.DeleteFunc(st.constraints, func(c *expr.Expr) bool {
+		_, ok := c.IsConst()
+		return ok
+	})
+	m := len(st.constraints)
 	// Directly contradictory pairs — a constraint alongside its exact
 	// negation — are routine in backtracking sets: re-executing a branch
 	// under an alternative pin re-records the direction the pin already
@@ -278,54 +339,89 @@ func (s *Solver) solve(constraints []*expr.Expr, memo *Cache) (Model, error) {
 	// search costs the full cross product of every unrelated domain. A
 	// linear syntactic scan decides these for free. Not is involutive on
 	// comparison nodes, so the complement of a branch constraint is
-	// structurally canonical; fingerprints prefilter, Equal confirms.
-	byFp := make(map[uint64][]*expr.Expr, len(st.constraints))
-	for _, c := range st.constraints {
-		byFp[c.Fingerprint()] = append(byFp[c.Fingerprint()], c)
+	// structurally canonical, and cached on the node; fingerprints
+	// prefilter, Equal confirms.
+	clear(st.byFp)
+	st.chain = resize(st.chain, m)
+	for ci, c := range st.constraints {
+		st.chain[ci] = -1
+		if head, ok := st.byFp[c.Fingerprint()]; ok {
+			st.chain[ci] = head
+		}
+		st.byFp[c.Fingerprint()] = int32(ci)
 	}
 	for _, c := range st.constraints {
 		neg := expr.Not(c)
-		for _, o := range byFp[neg.Fingerprint()] {
-			if neg.Equal(o) {
+		head, ok := st.byFp[neg.Fingerprint()]
+		if !ok {
+			continue
+		}
+		for o := head; o >= 0; o = st.chain[o] {
+			if neg.Equal(st.constraints[o]) {
 				if s.Journal.Verbose() {
-					s.Journal.Emit(journal.EvSolverComplement, journal.Attrs{"constraints": len(st.constraints)})
+					s.Journal.Emit(journal.EvSolverComplement, journal.Attrs{"constraints": m})
 				}
 				return nil, ErrUnsat
 			}
 		}
 	}
 
-	for _, sup := range st.support {
-		for _, sym := range sup {
-			if _, ok := st.symIdx[sym]; !ok {
-				st.symIdx[sym] = len(st.syms)
-				st.syms = append(st.syms, sym)
-			}
+	// Register the symbols in order of first appearance and flatten the
+	// supports into symbol indices.
+	maxSym := -1
+	for _, c := range st.constraints {
+		if sup := c.Syms(); len(sup) > 0 {
+			maxSym = max(maxSym, sup[len(sup)-1])
 		}
+	}
+	if len(st.slot) <= maxSym {
+		// Grown slices start zeroed, as the pooled invariant wants.
+		st.slot = append(st.slot, make([]int, maxSym+1-len(st.slot))...)
+		st.assignedSym = append(st.assignedSym, make([]bool, maxSym+1-len(st.assignedSym))...)
+		st.valueSym = append(st.valueSym, make([]byte, maxSym+1-len(st.valueSym))...)
+	}
+	st.sup = st.sup[:0]
+	st.supOff = append(st.supOff[:0], 0)
+	for _, c := range st.constraints {
+		for _, sym := range c.Syms() {
+			if st.slot[sym] == 0 {
+				st.syms = append(st.syms, sym)
+				st.slot[sym] = len(st.syms)
+			}
+			st.sup = append(st.sup, st.slot[sym]-1)
+		}
+		st.supOff = append(st.supOff, len(st.sup))
 	}
 	n := len(st.syms)
-	maxSym := -1
-	for _, sym := range st.syms {
-		if sym > maxSym {
-			maxSym = sym
-		}
-	}
-	st.assignedSym = make([]bool, maxSym+1)
-	st.valueSym = make([]byte, maxSym+1)
-	st.domains = make([]domain, n)
+	st.domains = resize(st.domains, n)
 	for i := range st.domains {
 		st.domains[i] = fullDomain()
 	}
-	st.assigned = make([]bool, n)
-	st.values = make([]byte, n)
-	st.watch = make([][]int, n)
-	st.inQueue = make([]bool, len(st.constraints))
-	for ci, sup := range st.support {
-		for _, sym := range sup {
-			si := st.symIdx[sym]
-			st.watch[si] = append(st.watch[si], ci)
+	st.assigned = resize(st.assigned, n)
+	clear(st.assigned)
+	st.values = resize(st.values, n)
+	st.inQueue = resize(st.inQueue, m)
+	// Bucket the constraints by symbol: count into watchOff[si+1], take
+	// prefix sums, place each constraint at its symbol's cursor, then shift
+	// the advanced cursors back into start offsets.
+	st.watchOff = resize(st.watchOff, n+1)
+	clear(st.watchOff)
+	for _, si := range st.sup {
+		st.watchOff[si+1]++
+	}
+	for si := 1; si <= n; si++ {
+		st.watchOff[si] += st.watchOff[si-1]
+	}
+	st.watch = resize(st.watch, len(st.sup))
+	for ci := range st.constraints {
+		for _, si := range st.support(ci) {
+			st.watch[st.watchOff[si]] = ci
+			st.watchOff[si]++
 		}
 	}
+	copy(st.watchOff[1:], st.watchOff[:n])
+	st.watchOff[0] = 0
+	st.saves = st.saves[:0]
 
 	// Initial propagation over all constraints.
 	if err := st.propagateAll(); err != nil {
@@ -334,7 +430,9 @@ func (s *Solver) solve(constraints []*expr.Expr, memo *Cache) (Model, error) {
 	if err := st.search(0); err != nil {
 		return nil, err
 	}
-
+	if !wantModel {
+		return nil, nil
+	}
 	model := make(Model, n)
 	for i, sym := range st.syms {
 		model[sym] = st.values[i]
@@ -356,8 +454,7 @@ func (st *state) lookup(sym int) (uint64, bool) {
 // filtering treats like any larger count, and returns st.un's storage.
 func (st *state) unassignedIn(ci int) []int {
 	out := st.un[:0]
-	for _, sym := range st.support[ci] {
-		si := st.symIdx[sym]
+	for _, si := range st.support(ci) {
 		if !st.assigned[si] {
 			if out = append(out, si); len(out) == len(st.un) {
 				break
@@ -424,7 +521,7 @@ func (st *state) propagate() error {
 				v, _ := st.domains[si].first()
 				st.assign(si, v)
 			}
-			for _, next := range st.watch[si] {
+			for _, next := range st.watchers(si) {
 				if !st.inQueue[next] {
 					st.inQueue[next] = true
 					st.queue = append(st.queue, next)
@@ -632,8 +729,14 @@ func (st *state) search(depth int) error {
 	}
 
 	if depth == len(st.saves) {
+		// The pool keeps deeper levels' snapshots past len for reuse.
+		if depth == cap(st.saves) {
+			st.saves = append(st.saves, snapshot{})
+		}
+		st.saves = st.saves[:depth+1]
 		n := len(st.syms)
-		st.saves = append(st.saves, snapshot{make([]domain, n), make([]bool, n), make([]byte, n)})
+		sv := &st.saves[depth]
+		sv.domains, sv.assigned, sv.values = resize(sv.domains, n), resize(sv.assigned, n), resize(sv.values, n)
 	}
 	save := st.saves[depth]
 	copy(save.domains, st.domains)
@@ -644,7 +747,7 @@ func (st *state) search(depth int) error {
 	rest := st.domains[si]
 	for v, more := rest.next(); more; v, more = rest.next() {
 		st.assign(si, v)
-		st.queue = append(st.queue[:0], st.watch[si]...)
+		st.queue = append(st.queue[:0], st.watchers(si)...)
 		err := st.propagate()
 		if err == nil {
 			err = st.search(depth + 1)
@@ -726,7 +829,7 @@ func (s *Solver) Sat(constraints []*expr.Expr) (bool, error) {
 			s.Journal.Emit(journal.EvSolverSatCache, journal.Attrs{"hit": false})
 		}
 	}
-	_, err := s.solveWith(constraints, cache)
+	_, err := s.solveWith(constraints, cache, false)
 	if err == nil {
 		cache.Store(key, true)
 		return true, nil

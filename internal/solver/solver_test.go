@@ -312,3 +312,53 @@ func TestComplementPairShortCircuits(t *testing.T) {
 		t.Fatalf("Sat(without contradiction) = %v, %v; want true", sat, err)
 	}
 }
+
+// pathSystem builds a 64-constraint path condition shaped like the
+// executor's: magic-byte equalities, range checks, disequalities and
+// relations between a free byte and a magic one, none of which decompose
+// rewrites. It is satisfiable.
+func pathSystem() []*expr.Expr {
+	sym, k := expr.Sym, expr.Const
+	var cs []*expr.Expr
+	for i := 0; i < 32; i++ {
+		cs = append(cs, expr.Bin(expr.OpEq, sym(i), k(uint64(0x41+i))))
+	}
+	for i := 32; i < 48; i++ {
+		cs = append(cs, expr.Bin(expr.OpLt, sym(i), k(uint64(16+i))))
+	}
+	for i := 32; i < 40; i++ {
+		cs = append(cs, expr.Bin(expr.OpNe, sym(i), k(0)))
+	}
+	for i := 48; i < 56; i++ {
+		sum := expr.Bin(expr.OpAdd, sym(i), sym(i-48))
+		cs = append(cs, expr.Bin(expr.OpLt, k(100), sum))
+	}
+	return cs
+}
+
+// TestSatAllocBound gates the scaffolding of a solve: once the pooled
+// search state has grown to a path-length system, a Sat on it allocates
+// at most satAllocBound objects. The bound may only be tightened.
+func TestSatAllocBound(t *testing.T) {
+	const satAllocBound = 2
+	if raceEnabled {
+		t.Skip("sync.Pool drops states at random under -race")
+	}
+	cs := pathSystem()
+	if len(cs) != 64 {
+		t.Fatalf("path system has %d constraints, want 64", len(cs))
+	}
+	var s solver.Solver
+	if sat, err := s.Sat(cs); err != nil || !sat {
+		t.Fatalf("Sat(path) = %v, %v; want true", sat, err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.Sat(cs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm Sat on %d constraints: %v allocs", len(cs), allocs)
+	if allocs > satAllocBound {
+		t.Fatalf("warm Sat allocates %v objects, bound %d", allocs, satAllocBound)
+	}
+}
