@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"octopocs"
+	"octopocs/internal/cfg"
 	"octopocs/internal/core"
 	"octopocs/internal/corpus"
 	"octopocs/internal/eval"
@@ -244,6 +245,38 @@ func BenchmarkSolver(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSymexFrontier measures directed frontier exploration of both
+// corpus.SymexBench() specs as octoledger's symex-frontier workload runs
+// them: 2 explorer workers, no solver cache, so every feasibility check is
+// solved. bitfan-d12 is led by frontier bookkeeping, mixmul-d8 by the
+// solver's pair filters.
+func BenchmarkSymexFrontier(b *testing.B) {
+	for _, spec := range corpus.SymexBench() {
+		dist := cfg.Build(spec.Prog).DistancesTo(spec.Target)
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := symex.New(spec.Prog, symex.Config{
+					Target:        spec.Target,
+					InputSize:     spec.InputSize,
+					Distances:     dist,
+					MaxBacktracks: 1 << 20,
+					SatBudget:     1 << 27,
+					Workers:       2,
+				}).Run(func(symex.EpEntry, *symex.State) (symex.Decision, error) {
+					return symex.Stop, nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Reached() || res.Stats.States != spec.Leaves {
+					b.Fatalf("reached %v, %d states, want %d unreached leaves", res.Reached(), res.Stats.States, spec.Leaves)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFuzzThroughput measures baseline fuzzing executions per second

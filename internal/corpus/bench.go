@@ -79,10 +79,11 @@ func bitfanSpec(depth int) *SymexBenchSpec {
 // mixmulSpec builds a depth-deep diamond chain whose conditions are
 // two-symbol multiplicative congruences: diamond i reads its own byte pair
 // (x, y) and branches on (x*17 + y*31) & 63 == m_i. Filtering one such
-// constraint enumerates the full 256x256 domain product, so every
-// feasibility check is genuinely expensive — this workload measures how the
-// frontier scales when SAT work dominates, and how much the memoized
-// verdict cache recovers on re-exploration.
+// equality over two full byte domains costs 16,640 evaluations (each value
+// of either symbol scans the other's domain up to its first support) and
+// its negation 520, so every feasibility check is genuinely expensive —
+// this workload measures how the frontier scales when SAT work dominates,
+// and how much the memoized verdict cache recovers on re-exploration.
 func mixmulSpec(depth int) *SymexBenchSpec {
 	nbytes := 2 * depth
 	b := asm.NewBuilder(fmt.Sprintf("mixmul-d%d", depth))

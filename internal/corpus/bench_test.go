@@ -24,8 +24,9 @@ func symexBenchRun(spec *corpus.SymexBenchSpec, workers int, cache *solver.Cache
 		InputSize:     spec.InputSize,
 		Distances:     g.DistancesTo(spec.Target),
 		MaxBacktracks: 1 << 20,
-		// Two-symbol congruence constraints cost ~64Ki evaluations per
-		// filtering pass; the default budget trips on deep prefixes.
+		// A two-symbol congruence costs 16,640 evaluations per filtering
+		// pass over full domains; the default budget trips on deep
+		// prefixes.
 		SatBudget:   1 << 27,
 		Workers:     workers,
 		SolverCache: cache,

@@ -12,17 +12,18 @@
 //
 // Concurrency: nodes are immutable after construction and safe to share
 // between goroutines. The lazily computed per-node caches (symbol support,
-// possible-bits mask, structural fingerprint, and the complement Not
-// builds) are published with atomic operations; concurrent computation is
-// idempotent up to node identity (two racing Not calls may each keep their
-// own, structurally equal complement), so the worst case is duplicated
-// work, never a torn read. This is what lets the parallel
-// symbolic-execution frontier share expression trees between sibling states
-// without cloning them.
+// possible-bits mask, structural fingerprint, the complement Not builds,
+// the register program and the decomposition) are published with atomic
+// operations; concurrent computation is idempotent up to node identity
+// (two racing Not calls may each keep their own, structurally equal
+// complement), so the worst case is duplicated work, never a torn read.
+// This is what lets the parallel symbolic-execution frontier share
+// expression trees between sibling states without cloning them.
 package expr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -106,10 +107,12 @@ type Expr struct {
 	X   *Expr
 	Y   *Expr
 
-	syms atomic.Pointer[[]int]    // cached sorted support
-	mask atomic.Pointer[maskInfo] // cached possible-bits bound
-	fp   atomic.Uint64            // cached structural fingerprint; 0 = unset
-	not  atomic.Pointer[Expr]     // cached Not(e)
+	syms  atomic.Pointer[[]int]    // cached sorted support
+	mask  atomic.Pointer[maskInfo] // cached possible-bits bound
+	fp    atomic.Uint64            // cached structural fingerprint; 0 = unset
+	not   atomic.Pointer[Expr]     // cached Not(e)
+	prog  atomic.Pointer[Prog]     // cached register program
+	parts atomic.Pointer[[]*Expr]  // cached decomposition, when e splits
 }
 
 // maskInfo is the cached result of computeMask.
@@ -629,21 +632,12 @@ func (e *Expr) Syms() []int {
 	if p := e.syms.Load(); p != nil {
 		return *p
 	}
-	seen := map[int]bool{}
-	e.collect(seen)
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	// insertion sort; supports are tiny
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if len(out) == 0 {
-		out = []int{}
-	}
+	var buf [16]int
+	all := e.collect(buf[:0])
+	slices.Sort(all)
+	all = slices.Compact(all)
+	out := make([]int, len(all))
+	copy(out, all)
 	e.syms.Store(&out)
 	return out
 }
@@ -695,15 +689,15 @@ func (e *Expr) Fingerprint() uint64 {
 	return h
 }
 
-func (e *Expr) collect(seen map[int]bool) {
+// collect appends every symbol leaf of e to out, repeats included.
+func (e *Expr) collect(out []int) []int {
 	switch e.Op {
 	case OpConst:
+		return out
 	case OpSym:
-		seen[e.Sym] = true
-	default:
-		e.X.collect(seen)
-		e.Y.collect(seen)
+		return append(out, e.Sym)
 	}
+	return e.Y.collect(e.X.collect(out))
 }
 
 // Size returns the node count, a proxy for expression complexity.

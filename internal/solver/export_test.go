@@ -2,6 +2,9 @@ package solver
 
 import "sync"
 
+// RaceEnabled reports a -race build (see raceEnabled).
+const RaceEnabled = raceEnabled
+
 // CountEvaluations runs f and returns the constraint evaluations every
 // solve it started charged to the budget and the ones it actually ran.
 // With fold false, those solves skip the residual fold. A solve that ran

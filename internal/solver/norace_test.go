@@ -1,5 +1,5 @@
 //go:build !race
 
-package solver_test
+package solver
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package solver_test
+package solver
 
 // raceEnabled reports a -race build, under which sync.Pool drops a share of
 // what it is given, so allocation counts stop measuring the solver.

@@ -99,8 +99,10 @@ func errClass(err error) string {
 }
 
 // replayVariant is a solver configuration under differential test. Every
-// variant folds pair residuals, as production does, except where its
-// name says "no-fold".
+// variant evaluates through register programs and folds pair residuals,
+// as production does, except where its name says "no-fold": "no-fold"
+// alone is plain enumeration over the programs, the reference's search
+// with only the evaluator changed.
 type replayVariant struct {
 	name     string
 	interval bool
@@ -109,6 +111,7 @@ type replayVariant struct {
 }
 
 var replayVariants = []replayVariant{
+	{"no-fold", false, false, "off"},
 	{"fold", false, true, "off"},
 	{"interval+no-fold", true, false, "off"},
 	{"interval", true, true, "off"},
@@ -132,18 +135,19 @@ func (v replayVariant) solver(budget int64, warm *Cache) Solver {
 }
 
 // reference is plain enumeration: no interval pre-check, no residual
-// fold, no memo.
+// fold, no memo, and every evaluation a walk of the expression tree
+// (expr.Eval) rather than a run of its register program.
 func reference(budget int64) Solver {
-	return Solver{Budget: budget, noInterval: true, noFold: true}
+	return Solver{Budget: budget, noInterval: true, noFold: true, treeWalk: true}
 }
 
 // FuzzSolverExactReplay checks that the interval pre-check, the residual
-// fold and the filter-outcome memo are exact: against plain enumeration,
-// with the memo off, cold and warm and the other two on and off, Solve
-// returns the same model and error class and Sat the same answer. At the
-// budget B where
-// the reference first succeeds, every variant also succeeds at B and runs
-// out of budget at B-1 — the shortcuts charge exactly the evaluations
+// fold, the filter-outcome memo and the tiered register programs are
+// exact: against plain enumeration by tree walk, with the memo off, cold
+// and warm and the pre-check and the fold on and off, Solve returns the
+// same model and error class and Sat the same answer. At the budget B
+// where the reference first succeeds, every variant also succeeds at B and
+// runs out of budget at B-1 — the shortcuts charge exactly the evaluations
 // they save, so no budget boundary moves.
 func FuzzSolverExactReplay(f *testing.F) {
 	// (s0&1)+(s1&1) == 7: interval-false over two full domains, so the

@@ -159,3 +159,45 @@ func TestSatConcurrentSharedSolver(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestFilterAllocBound gates the evaluation kernel: once a constraint's
+// program is compiled and the state has evaluated it, filtering it again
+// allocates nothing, as a pair filter (mixmul's congruence
+// ((s0*17 + s1*31) & 63) == 5) and as a lone-symbol filter (the same
+// constraint with s1 assigned).
+func TestFilterAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds are gated without -race only, as TestSatAllocBound's")
+	}
+	k := expr.Const
+	mix := expr.Bin(expr.OpAdd, expr.Bin(expr.OpMul, expr.Sym(0), k(17)), expr.Bin(expr.OpMul, expr.Sym(1), k(31)))
+	c := expr.Bin(expr.OpEq, expr.Bin(expr.OpAnd, mix, k(63)), k(5))
+	st := newState()
+	st.constraints = append(st.constraints, c)
+	st.index()
+	full := slices.Clone(st.domains)
+	filters := []struct {
+		name string
+		run  func() ([]int, error)
+	}{
+		{"pair", func() ([]int, error) { return st.filterPair(0, 0, 1) }},
+		{"lone", func() ([]int, error) {
+			st.assign(1, 7)
+			defer st.unassign(1)
+			return st.filterOne(0, 0)
+		}},
+	}
+	for _, f := range filters {
+		run := func() {
+			copy(st.domains, full)
+			st.budget = 1 << 40
+			if _, err := f.run(); err != nil {
+				t.Fatalf("%s filter: %v", f.name, err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("warm %s filter allocates %v objects, want 0", f.name, allocs)
+		}
+	}
+}

@@ -33,7 +33,10 @@
 // aborts the whole solve from any point, charging the total up front is
 // indistinguishable. So every Solve and Sat returns the same verdict, the
 // same model and the same budget outcome with or without the shortcuts,
-// at every budget.
+// at every budget. The evaluations that remain run each constraint's
+// register program (expr.Prog), split into tiers so a scan re-runs only
+// what depends on the scanned symbols; each returns exactly what
+// expr.Eval returns, so the evaluator changes no outcome either.
 //
 // Concurrency: a Solver value is stateless between calls, so one Solver
 // may be used from many goroutines, and the attached Metrics (atomic
@@ -112,10 +115,12 @@ type Solver struct {
 	Journal *journal.Recorder
 
 	// noInterval and noFold switch off the interval pre-check and the
-	// residual fold, so tests can compare against plain enumeration; a nil
-	// Cache already switches off the memo.
+	// residual fold, and treeWalk evaluates by expr.Eval instead of the
+	// constraints' register programs, so tests can compare against plain
+	// enumeration; a nil Cache already switches off the memo.
 	noInterval bool
 	noFold     bool
+	treeWalk   bool
 }
 
 // testHook, when non-nil, sees the state of every solve once it is set up
@@ -208,6 +213,7 @@ type state struct {
 	sig        []uint64
 	noInterval bool
 	noFold     bool
+	treeWalk   bool
 
 	// Scratch space reused across calls, so that propagation, filtering
 	// and search allocate nothing per call: the propagation queue and its
@@ -222,6 +228,8 @@ type state struct {
 	saves    []snapshot
 	byFp     map[uint64]int32
 	chain    []int32
+	// m evaluates the constraints' register programs (expr.Prog).
+	m expr.Machine
 }
 
 // snapshot is the search state a level starts from.
@@ -310,6 +318,7 @@ func (s *Solver) solve(st *state, constraints []*expr.Expr, memo *Cache, wantMod
 	st.evaluated = 0
 	st.noInterval = s.noInterval
 	st.noFold = s.noFold
+	st.treeWalk = s.treeWalk
 	st.memo = memo
 	if st.budget <= 0 {
 		st.budget = DefaultBudget
@@ -366,8 +375,30 @@ func (s *Solver) solve(st *state, constraints []*expr.Expr, memo *Cache, wantMod
 		}
 	}
 
-	// Register the symbols in order of first appearance and flatten the
-	// supports into symbol indices.
+	st.index()
+	st.saves = st.saves[:0]
+
+	// Initial propagation over all constraints.
+	if err := st.propagateAll(); err != nil {
+		return nil, err
+	}
+	if err := st.search(0); err != nil {
+		return nil, err
+	}
+	if !wantModel {
+		return nil, nil
+	}
+	model := make(Model, len(st.syms))
+	for i, sym := range st.syms {
+		model[sym] = st.values[i]
+	}
+	return model, nil
+}
+
+// index registers the symbols of st.constraints in order of first
+// appearance, flattens the supports into symbol indices and builds the
+// watch lists, with every domain full and no symbol assigned.
+func (st *state) index() {
 	maxSym := -1
 	for _, c := range st.constraints {
 		if sup := c.Syms(); len(sup) > 0 {
@@ -400,7 +431,7 @@ func (s *Solver) solve(st *state, constraints []*expr.Expr, memo *Cache, wantMod
 	st.assigned = resize(st.assigned, n)
 	clear(st.assigned)
 	st.values = resize(st.values, n)
-	st.inQueue = resize(st.inQueue, m)
+	st.inQueue = resize(st.inQueue, len(st.constraints))
 	// Bucket the constraints by symbol: count into watchOff[si+1], take
 	// prefix sums, place each constraint at its symbol's cursor, then shift
 	// the advanced cursors back into start offsets.
@@ -421,27 +452,11 @@ func (s *Solver) solve(st *state, constraints []*expr.Expr, memo *Cache, wantMod
 	}
 	copy(st.watchOff[1:], st.watchOff[:n])
 	st.watchOff[0] = 0
-	st.saves = st.saves[:0]
-
-	// Initial propagation over all constraints.
-	if err := st.propagateAll(); err != nil {
-		return nil, err
-	}
-	if err := st.search(0); err != nil {
-		return nil, err
-	}
-	if !wantModel {
-		return nil, nil
-	}
-	model := make(Model, n)
-	for i, sym := range st.syms {
-		model[sym] = st.values[i]
-	}
-	return model, nil
 }
 
-// lookup is the partial-assignment view used by expr.Eval. It reads the
-// symbol-indexed mirror arrays: no map access on the hot path.
+// lookup is the partial-assignment view expr.Residual, and expr.Eval
+// under treeWalk, read. It reads the symbol-indexed mirror arrays, as the
+// constraints' programs do.
 func (st *state) lookup(sym int) (uint64, bool) {
 	if sym < 0 || sym >= len(st.assignedSym) || !st.assignedSym[sym] {
 		return 0, false
@@ -474,14 +489,28 @@ func (st *state) charge(n int64) error {
 	return nil
 }
 
+// evaluation charges and counts one constraint evaluation.
+func (st *state) evaluation() error {
+	if err := st.charge(1); err != nil {
+		return err
+	}
+	st.evaluated++
+	return nil
+}
+
 // checkConstraint evaluates constraint ci under the current assignment.
 // Returns (satisfied, decidable).
 func (st *state) checkConstraint(ci int) (bool, bool, error) {
-	if err := st.charge(1); err != nil {
+	if err := st.evaluation(); err != nil {
 		return false, false, err
 	}
-	st.evaluated++
-	v, ok := st.constraints[ci].Eval(st.lookup)
+	var v uint64
+	var ok bool
+	if st.treeWalk {
+		v, ok = st.constraints[ci].Eval(st.lookup)
+	} else {
+		v, ok = st.m.Eval(st.constraints[ci].Prog(), st.assignedSym, st.valueSym)
+	}
 	if !ok {
 		return false, false, nil
 	}
@@ -608,18 +637,18 @@ func (st *state) replay(un []int, o outcome) ([]int, error) {
 }
 
 // filterOne removes the values of the lone unassigned symbol si under
-// which constraint ci is decidably false.
+// which constraint ci is decidably false. The part of the constraint that
+// does not depend on si is evaluated once (expr.Machine.Scan); each value
+// charges one evaluation, as a whole one would.
 func (st *state) filterOne(ci, si int) ([]int, error) {
+	st.m.Scan(st.constraints[ci].Prog(), -1, st.syms[si], st.assignedSym, st.valueSym)
 	d := st.domains[si]
 	rest := d
 	for v, more := rest.next(); more; v, more = rest.next() {
-		st.assign(si, v)
-		sat, decidable, err := st.checkConstraint(ci)
-		st.unassign(si)
-		if err != nil {
+		if err := st.evaluation(); err != nil {
 			return nil, err
 		}
-		if decidable && !sat {
+		if r, decidable := st.inner(ci, si, v); decidable && r == 0 {
 			st.domains[si].remove(v)
 		}
 	}
@@ -655,7 +684,10 @@ func (st *state) filterPair(ci, a, b int) ([]int, error) {
 
 // supported returns the values of x's domain that constraint ci holds (or
 // cannot be decided) for with some value of y's domain, scanning y in
-// ascending order and stopping at the first such value.
+// ascending order and stopping at the first such value. The constraint's
+// program runs in tiers (expr.Machine.Scan): what depends on neither
+// symbol once, what depends on x alone once per value of x, and only the
+// rest per value of y, each value charged one evaluation.
 //
 // Once x is fixed, a constraint that can absorb y (expr.MayAbsorb) may no
 // longer depend on y at all. Its residual then settles x's value in closed
@@ -667,13 +699,15 @@ func (st *state) supported(ci, x, y int) (domain, error) {
 	inner := st.syms[y]
 	ny := int64(st.domains[y].count())
 	fold := !st.noFold && ny > 0 && c.MayAbsorb()
+	st.m.Scan(c.Prog(), st.syms[x], inner, st.assignedSym, st.valueSym)
 	var ok domain
 	xs := st.domains[x]
 	for vx, more := xs.next(); more; vx, more = xs.next() {
-		st.assign(x, vx)
 		if fold {
-			if v, defined, konst := c.Residual(st.lookup, inner); konst {
-				st.unassign(x)
+			st.assign(x, vx)
+			v, defined, konst := c.Residual(st.lookup, inner)
+			st.unassign(x)
+			if konst {
 				if defined && v == 0 {
 					if err := st.charge(ny); err != nil {
 						return ok, err
@@ -687,23 +721,39 @@ func (st *state) supported(ci, x, y int) (domain, error) {
 				continue
 			}
 		}
+		st.m.Outer(uint64(vx))
+		if st.treeWalk {
+			st.assign(x, vx)
+		}
 		ys := st.domains[y]
 		for vy, more := ys.next(); more; vy, more = ys.next() {
-			st.assign(y, vy)
-			sat, decidable, err := st.checkConstraint(ci)
-			st.unassign(y)
-			if err != nil {
+			if err := st.evaluation(); err != nil {
 				st.unassign(x)
 				return ok, err
 			}
-			if !decidable || sat {
+			if r, decidable := st.inner(ci, y, vy); !decidable || r != 0 {
 				ok[vx>>6] |= 1 << (vx & 63)
 				break // first support suffices
 			}
 		}
-		st.unassign(x)
+		if st.treeWalk {
+			st.unassign(x)
+		}
 	}
 	return ok, nil
+}
+
+// inner evaluates constraint ci with symbol index si at v, the scan
+// st.m holds (and its outer value) standing for the rest. With treeWalk it
+// evaluates by expr.Eval instead, si assigned for the call.
+func (st *state) inner(ci, si int, v byte) (uint64, bool) {
+	if !st.treeWalk {
+		return st.m.Inner(uint64(v))
+	}
+	st.assign(si, v)
+	r, ok := st.constraints[ci].Eval(st.lookup)
+	st.unassign(si)
+	return r, ok
 }
 
 // intersect ands ok into d and reports whether d changed.

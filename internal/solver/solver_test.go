@@ -341,7 +341,7 @@ func pathSystem() []*expr.Expr {
 // at most satAllocBound objects. The bound may only be tightened.
 func TestSatAllocBound(t *testing.T) {
 	const satAllocBound = 2
-	if raceEnabled {
+	if solver.RaceEnabled {
 		t.Skip("sync.Pool drops states at random under -race")
 	}
 	cs := pathSystem()
