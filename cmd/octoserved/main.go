@@ -64,7 +64,7 @@ func run(args []string, logOut *os.File) error {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	symexWorkers := fs.Int("symex-workers", 0, "frontier explorer goroutines per job (0 = auto GOMAXPROCS/workers, negative = one)")
 	queue := fs.Int("queue", service.DefaultQueueDepth, "job queue depth")
-	cache := fs.Int("cache", service.DefaultCacheEntries, "artifact cache entries per class (negative disables)")
+	cache := fs.Int("cache", service.DefaultCacheEntries, "entries per class of the memory-only store bundle (negative disables caching); ignored with -store-dir")
 	timeout := fs.Duration("timeout", 0, "per-job deadline (0 = none)")
 	drain := fs.Duration("drain", 30*time.Second, "max time to drain in-flight jobs on shutdown")
 	traces := fs.Int("traces", 0, "retained finished job traces (0 = default, negative disables)")

@@ -1,18 +1,16 @@
-package service_test
+package artifact
 
 import (
 	"fmt"
 	"testing"
-
-	"octopocs/internal/artifact"
 )
 
-// A memory-only Service (no Config.Stores) caches every artifact class and
-// the journal on artifact.NewMemory(Config.CacheEntries). These tests pin the
-// LRU behaviour the service relies on from that store.
+// A memory-only service bundle runs every store class on
+// NewMemory(Config.CacheEntries). These tests pin the LRU behaviour the
+// service relies on from that store.
 
 func TestLRUEvictsOldest(t *testing.T) {
-	c := artifact.NewMemory(2)
+	c := NewMemory(2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	// Touch a so b becomes the eviction candidate.
@@ -35,7 +33,7 @@ func TestLRUEvictsOldest(t *testing.T) {
 }
 
 func TestLRUUpdateInPlace(t *testing.T) {
-	c := artifact.NewMemory(2)
+	c := NewMemory(2)
 	c.Put("a", 1)
 	c.Put("a", 2)
 	if n := c.Len(); n != 1 {
@@ -47,13 +45,13 @@ func TestLRUUpdateInPlace(t *testing.T) {
 }
 
 func TestLRUCounters(t *testing.T) {
-	c := artifact.NewMemory(1)
+	c := NewMemory(1)
 	c.Get("missing")
 	c.Put("a", 1)
 	c.Get("a")
 	c.Put("b", 2) // evicts a
 	got := c.Counters()
-	want := artifact.Counters{HotHits: 1, Misses: 1, HotEvictions: 1, HotEntries: 1}
+	want := Counters{HotHits: 1, Misses: 1, HotEvictions: 1, HotEntries: 1}
 	if got != want {
 		t.Errorf("Counters = %+v, want %+v", got, want)
 	}
@@ -63,7 +61,7 @@ func TestLRUCounters(t *testing.T) {
 }
 
 func TestLRUMinimumCapacity(t *testing.T) {
-	c := artifact.NewMemory(0)
+	c := NewMemory(0)
 	c.Put("a", 1)
 	if _, ok := c.Get("a"); !ok {
 		t.Error("capacity-clamped cache dropped its only entry")
@@ -71,7 +69,7 @@ func TestLRUMinimumCapacity(t *testing.T) {
 }
 
 func TestLRUConcurrent(t *testing.T) {
-	c := artifact.NewMemory(16)
+	c := NewMemory(16)
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func(w int) {

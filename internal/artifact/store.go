@@ -127,6 +127,10 @@ func (s *Store) codecFor(key string) Codec {
 	return s.codecs[class]
 }
 
+// Persists reports whether key's class has a codec, so that a Put of key
+// reaches the disk tier; always false on a memory-only store.
+func (s *Store) Persists(key string) bool { return s.codecFor(key) != nil }
+
 // Get returns the artifact stored under key: from the hot tier when
 // resident, otherwise verified, decoded, and promoted from disk. Any disk
 // or decode failure drops the entry and degrades to a miss.

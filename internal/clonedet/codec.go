@@ -27,6 +27,10 @@ type Cache interface {
 	Put(key string, v any)
 }
 
+// KeyClass is the artifact-store class of fingerprints: the prefix of every
+// FingerprintKey.
+const KeyClass = "ci"
+
 // FingerprintKey derives the content address of a program's fingerprint
 // artifact: the assembled program text is the only input fingerprintProgram
 // reads. The shingle width is hashed too, so a change of DefaultK retires
@@ -35,7 +39,7 @@ func FingerprintKey(prog *isa.Program) string {
 	h := sha256.New()
 	io.WriteString(h, asm.Format(prog))
 	fmt.Fprintf(h, "|k:%d", DefaultK)
-	return "ci:" + hex.EncodeToString(h.Sum(nil))
+	return KeyClass + ":" + hex.EncodeToString(h.Sum(nil))
 }
 
 // fingerprint computes (or loads) the fingerprint of one program through

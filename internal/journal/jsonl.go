@@ -60,9 +60,13 @@ func DecodeJSONL(data []byte) ([]Event, error) {
 	return events, nil
 }
 
+// KeyClass is the artifact-store class of encoded journals: the prefix of
+// every Key.
+const KeyClass = "jr"
+
 // Key returns the content-addressed artifact-store key for an encoded
-// journal: "jr:" + SHA-256 of the JSONL bytes.
+// journal: KeyClass + ":" + SHA-256 of the JSONL bytes.
 func Key(data []byte) string {
 	sum := sha256.Sum256(data)
-	return fmt.Sprintf("jr:%x", sum)
+	return fmt.Sprintf("%s:%x", KeyClass, sum)
 }

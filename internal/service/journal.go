@@ -42,8 +42,8 @@ func (s *Service) persistJournal(j *Job, rec *journal.Recorder) {
 		return
 	}
 	key := journal.Key(data)
-	if s.jrc != nil {
-		s.jrc.Put(key, data)
+	if jr := s.stores.cache(journal.KeyClass); jr != nil {
+		jr.Put(key, data)
 	}
 	// Record the key and only then detach the live recorder, all under the
 	// job lock: a concurrent reader always resolves either the (closed)
@@ -68,10 +68,11 @@ func (s *Service) jobJournal(j *Job) (rec *journal.Recorder, events []journal.Ev
 	if rec != nil {
 		return rec, nil, true
 	}
-	if key == "" || s.jrc == nil {
+	jr := s.stores.cache(journal.KeyClass)
+	if key == "" || jr == nil {
 		return nil, nil, false
 	}
-	v, hit := s.jrc.Get(key)
+	v, hit := jr.Get(key)
 	if !hit {
 		return nil, nil, false
 	}
@@ -102,12 +103,5 @@ func (s *Service) JournalEvents(id string, after uint64) (events []journal.Event
 	if rec != nil {
 		return rec.EventsAfter(after), true
 	}
-	if after > 0 {
-		i := 0
-		for i < len(events) && events[i].Seq <= after {
-			i++
-		}
-		events = events[i:]
-	}
-	return events, true
+	return eventsAfter(events, after), true
 }

@@ -313,7 +313,7 @@ func (s *Service) StartScan(req *ScanRequest) (*Scan, error) {
 		TopK:     req.TopK,
 		Workers:  s.cfg.Workers,
 		Metrics:  s.met.clonedet,
-		Cache:    s.cloneCache(),
+		Cache:    s.stores.cache(clonedet.KeyClass),
 	})
 	if err := ix.AddAll(targets); err != nil {
 		return nil, err
@@ -384,17 +384,6 @@ func (s *Service) StartScan(req *ScanRequest) (*Scan, error) {
 		s.watchScan(sc, jobs)
 	}()
 	return sc, nil
-}
-
-// cloneCache adapts the persistent fingerprint store into the clonedet
-// cache interface; nil (cache off) when no store bundle is configured. The
-// typed-nil guard matters: wrapping a nil *artifact.Store in the interface
-// would make clonedet call through it.
-func (s *Service) cloneCache() clonedet.Cache {
-	if s.cfg.Stores == nil || s.cfg.Stores.Clone == nil {
-		return nil
-	}
-	return s.cfg.Stores.Clone
 }
 
 // pair assembles the verification task for one candidate target. With an

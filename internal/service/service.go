@@ -52,8 +52,8 @@ var (
 const (
 	// DefaultQueueDepth bounds the number of accepted-but-unstarted jobs.
 	DefaultQueueDepth = 64
-	// DefaultCacheEntries is the per-class artifact cache capacity: the
-	// memory-only store's default hot-tier size.
+	// DefaultCacheEntries is the per-class capacity of the memory-only
+	// store bundle: the memory-only store's default hot-tier size.
 	DefaultCacheEntries = artifact.DefaultHotEntries
 )
 
@@ -65,8 +65,10 @@ type Config struct {
 	QueueDepth int
 	// JobTimeout is the per-job deadline; 0 means none.
 	JobTimeout time.Duration
-	// CacheEntries sizes each artifact cache class; DefaultCacheEntries
-	// when 0, and any negative value disables caching entirely.
+	// CacheEntries sizes each class's store in the memory-only bundle the
+	// service builds when Stores is nil: DefaultCacheEntries when 0, and
+	// any negative value builds no bundle, so nothing is cached and
+	// finished journals are not kept. Ignored when Stores is set.
 	CacheEntries int
 	// Pipeline configures the underlying core pipeline. Its Metrics is
 	// replaced by the service's own engine metrics, which /metrics and
@@ -75,10 +77,10 @@ type Config struct {
 	// so a fully loaded pool does not oversubscribe the machine, a negative
 	// value selects one explorer, and a positive one passes through.
 	Pipeline core.Config
-	// Stores plugs the persistent tiered artifact stores (see OpenStores)
-	// behind every pipeline artifact class, the journal, and the
-	// clone-fingerprint caches; without it each class runs on a
-	// memory-only artifact store (artifact.NewMemory).
+	// Stores plugs a persistent store bundle (see OpenStores) behind every
+	// pipeline artifact class, the journal, and the clone-fingerprint
+	// cache; without it the service builds a memory-only bundle from the
+	// same store table (see CacheEntries).
 	// The caller owns the bundle: open it before New, close it after
 	// Shutdown. While any store's disk tier is saturated, submissions are
 	// rejected with ErrSaturated.
@@ -102,8 +104,7 @@ type Config struct {
 type Service struct {
 	cfg    Config
 	pl     *core.Pipeline
-	caches map[string]core.Cache // one per core.Classes class; empty when caching is off
-	jrc    core.Cache            // finished-job journals; nil when journaling or caching is off
+	stores *Stores // Config.Stores, else a memory-only bundle; nil when caching is off
 	queue  chan *Job
 	wg     sync.WaitGroup
 	reg    *telemetry.Registry
@@ -149,26 +150,9 @@ func New(cfg Config) *Service {
 	if cfg.TraceCapacity >= 0 {
 		s.traces = telemetry.NewTraceRing(cfg.TraceCapacity)
 	}
-	if cfg.CacheEntries >= 0 {
-		// Each class runs on its persistent store when one is plugged in,
-		// else on a memory-only store. Every class is installed: the
-		// pipeline only touches ai/hy when their layer is on.
-		persisted := cfg.Stores.pipelineStores()
-		s.caches = make(map[string]core.Cache, len(core.Classes))
-		for _, class := range core.Classes {
-			if st := persisted[class]; st != nil {
-				s.caches[class] = st
-			} else {
-				s.caches[class] = artifact.NewMemory(cfg.CacheEntries)
-			}
-		}
-	}
-	if cfg.JournalCapacity >= 0 {
-		if cfg.Stores != nil && cfg.Stores.Journal != nil {
-			s.jrc = cfg.Stores.Journal
-		} else if cfg.CacheEntries >= 0 {
-			s.jrc = artifact.NewMemory(cfg.CacheEntries)
-		}
+	s.stores = cfg.Stores
+	if s.stores == nil && cfg.CacheEntries >= 0 {
+		s.stores = memoryStores(cfg.CacheEntries)
 	}
 	// Metric registration must precede worker start so scrape-time
 	// collectors never race a half-built service. The engine sinks are
@@ -182,7 +166,15 @@ func New(cfg Config) *Service {
 		pcfg.SymexWorkers = max(1, pcfg.SymexWorkers)
 	}
 	s.pl = core.New(pcfg)
-	s.pl.SetCaches(s.caches)
+	// Every class is installed: the pipeline only touches ai/hy when their
+	// layer is on.
+	caches := make(map[string]core.Cache, len(core.Classes))
+	for _, class := range core.Classes {
+		if c := s.stores.cache(class); c != nil {
+			caches[class] = c
+		}
+	}
+	s.pl.SetCaches(caches)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -247,7 +239,7 @@ func (s *Service) admitLocked() error {
 		s.rejectLocked(1)
 		return ErrQueueFull
 	}
-	if s.cfg.Stores.Saturated() {
+	if s.stores.Saturated() {
 		s.rejectLocked(1)
 		return ErrSaturated
 	}
@@ -264,7 +256,7 @@ func (s *Service) rejectLocked(n int) {
 // refusing writes, else a one-second queue-drain interval. Served as the
 // Retry-After header on 429 responses.
 func (s *Service) RetryAfter() time.Duration {
-	if s.cfg.Stores.Saturated() {
+	if s.stores.Saturated() {
 		return artifact.DefaultSaturationHold
 	}
 	return time.Second

@@ -3,6 +3,7 @@ package service
 import (
 	"octopocs/internal/artifact"
 	"octopocs/internal/core"
+	"octopocs/internal/journal"
 )
 
 // PhaseLatency summarizes the latency of one pipeline phase, read from the
@@ -39,16 +40,17 @@ type Stats struct {
 	PhaseLatency map[string]PhaseLatency `json:"phase_latency"`
 
 	// P1Cache/P2Cache hold the hit/miss counters of those classes' artifact
-	// stores; nil when caching is off. JournalCache is the same for the
-	// journal store.
+	// stores (the p2 store also holds the static analyses' ps: entries);
+	// nil when caching is off. JournalCache is the same for the journal
+	// store.
 	P1Cache      *CacheCounters `json:"p1_cache,omitempty"`
 	P2Cache      *CacheCounters `json:"p2_cache,omitempty"`
 	JournalCache *CacheCounters `json:"journal_cache,omitempty"`
 
-	// Stores holds the persistent artifact stores' full accounting keyed by
-	// class (p1, p2, jr, ci); absent when the service runs memory-only.
-	// StoreSaturated mirrors the admission-control signal: while true,
-	// submissions answer 429.
+	// Stores holds the store bundle's full accounting keyed by class (p1,
+	// p2, jr, ci, ai, hy), memory-only bundles included (their disk
+	// counters read 0); absent when caching is off. StoreSaturated mirrors
+	// the admission-control signal: while true, submissions answer 429.
 	Stores         map[string]artifact.Counters `json:"stores,omitempty"`
 	StoreSaturated bool                         `json:"store_saturated,omitempty"`
 }
@@ -84,16 +86,16 @@ func (s *Service) Stats() Stats {
 		}
 		st.PhaseLatency[name] = pl
 	}
-	// s.caches and s.jrc are written once in New, before any worker or
-	// handler can call Stats, so reading them is safe anywhere; they stay
-	// inside the critical section so the whole snapshot is taken at one
-	// point in time. Lock order Service.mu → cache lock is safe: no cache
-	// calls back into the service.
-	st.P1Cache = cacheCounters(s.caches[core.ClassP1])
-	st.P2Cache = cacheCounters(s.caches[core.ClassP2])
-	st.JournalCache = cacheCounters(s.jrc)
-	st.Stores = s.cfg.Stores.Counters()
-	st.StoreSaturated = s.cfg.Stores.Saturated()
+	// s.stores is written once in New, before any worker or handler can
+	// call Stats, so reading it is safe anywhere; the reads stay inside the
+	// critical section so the whole snapshot is taken at one point in time.
+	// Lock order Service.mu → store lock is safe: no store calls back into
+	// the service.
+	st.P1Cache = cacheCounters(s.stores.cache(core.ClassP1))
+	st.P2Cache = cacheCounters(s.stores.cache(core.ClassP2))
+	st.JournalCache = cacheCounters(s.stores.cache(journal.KeyClass))
+	st.Stores = s.stores.Counters()
+	st.StoreSaturated = s.stores.Saturated()
 	s.mu.Unlock()
 	return st
 }

@@ -10,32 +10,40 @@ import (
 	"octopocs/internal/clonedet"
 	"octopocs/internal/core"
 	"octopocs/internal/faultinject"
+	"octopocs/internal/journal"
 )
 
-// Per-class shares of the total disk budget. P2 artifacts dominate (program
-// text plus observed edges, two per target and prune mode), P1 artifacts
-// carry PoC-sized bunches, journals are bounded JSONL, fingerprints are
-// small hash sets, absint value ranges are program-text-sized
-// rebuild-on-decode payloads, and hybrid outcomes are poc'-sized JSON.
-const (
-	storeShareP1      = 0.20
-	storeShareP2      = 0.36
-	storeShareJournal = 0.18
-	storeShareClone   = 0.12
-	storeShareAbsint  = 0.08
-	storeShareHybrid  = 0.06
-)
+// storeClass is one row of the store table: a store's name (its
+// subdirectory and its class label in Stats and /metrics), its share of the
+// total disk budget, and the codecs of the key prefixes it holds.
+type storeClass struct {
+	name   string
+	share  float64
+	codecs map[string]artifact.Codec
+}
+
+// storeClasses is the store table every bundle is built from. P2 artifacts
+// dominate (program text plus observed edges, two per target and prune
+// mode) and share their store with the static analyses, P1 artifacts carry
+// PoC-sized bunches, journals are bounded JSONL, fingerprints are small
+// hash sets, absint value ranges are program-text-sized rebuild-on-decode
+// payloads, and hybrid outcomes are poc'-sized JSON.
+var storeClasses = []storeClass{
+	{core.ClassP1, 0.20, map[string]artifact.Codec{core.ClassP1: core.P1Codec{}}},
+	{core.ClassP2, 0.36, map[string]artifact.Codec{core.ClassP2: core.P2Codec{}, core.ClassStatic: core.StaticCodec{}}},
+	{journal.KeyClass, 0.18, map[string]artifact.Codec{journal.KeyClass: artifact.BytesCodec{}}},
+	{clonedet.KeyClass, 0.12, map[string]artifact.Codec{clonedet.KeyClass: clonedet.FingerprintCodec{}}},
+	{core.ClassAbsint, 0.08, map[string]artifact.Codec{core.ClassAbsint: core.AbsintCodec{}}},
+	{core.ClassHybrid, 0.06, map[string]artifact.Codec{core.ClassHybrid: core.HybridCodec{}}},
+}
 
 // StoreOptions parameterizes OpenStores.
 type StoreOptions struct {
-	// Dir is the root store directory; one subdirectory per artifact class
+	// Dir is the root store directory; one subdirectory per store class
 	// (p1, p2, jr, ci, ai, hy) is created under it.
 	Dir string
-	// HotEntries sizes each class's in-memory hot tier;
-	// artifact.DefaultHotEntries when 0.
-	HotEntries int
 	// DiskBudget bounds total disk use in bytes across all classes,
-	// apportioned by the storeShare fractions; artifact.DefaultDiskBudget
+	// apportioned by the store table's shares; artifact.DefaultDiskBudget
 	// when 0.
 	DiskBudget int64
 	// Faults threads the deterministic fault injector into every store.
@@ -44,23 +52,18 @@ type StoreOptions struct {
 	Logger *slog.Logger
 }
 
-// Stores bundles the per-class persistent artifact stores the service
-// runs on: P1 crash-primitive artifacts, P2/static preparation artifacts,
-// finished-job journals, and clone-detection fingerprints. Open with
-// OpenStores, hand to Config.Stores, and Close after Shutdown — the caller
-// owns the lifecycle, because a Stores may outlive any one Service (that is
-// the point: warm restarts).
+// Stores bundles one artifact store per store class: P1 crash-primitive
+// artifacts, P2/static preparation artifacts, finished-job journals,
+// clone-detection fingerprints, absint value ranges and hybrid-campaign
+// outcomes. OpenStores opens a persistent bundle: hand it to Config.Stores,
+// and Close it after Shutdown — the caller owns the lifecycle, because a
+// Stores may outlive any one Service (that is the point: warm restarts).
+// Without one, the service builds a memory-only bundle from the same table.
 type Stores struct {
-	// Dir is the root directory the stores live under.
-	Dir string
-	// P1 persists p1: artifacts; P2 persists p2: and ps: artifacts; Journal
-	// persists jr: JSONL journals; Clone persists ci: fingerprints; AI
-	// persists ai: abstract-interpretation value ranges; HY persists hy:
-	// hybrid-campaign outcomes.
-	P1, P2, Journal, Clone, AI, HY *artifact.Store
+	stores []*artifact.Store // one per storeClasses row, in table order
 }
 
-// OpenStores opens (or creates) the four per-class stores under opts.Dir,
+// OpenStores opens (or creates) one store per store class under opts.Dir,
 // running each store's startup integrity scan. Entries persisted by an
 // earlier process of the same store version become immediately servable.
 func OpenStores(opts StoreOptions) (*Stores, error) {
@@ -71,77 +74,46 @@ func OpenStores(opts StoreOptions) (*Stores, error) {
 	if budget == 0 {
 		budget = artifact.DefaultDiskBudget
 	}
-	st := &Stores{Dir: opts.Dir}
-	open := func(sub string, share float64, codecs map[string]artifact.Codec) (*artifact.Store, error) {
-		return artifact.Open(artifact.Options{
-			Dir:        filepath.Join(opts.Dir, sub),
-			HotEntries: opts.HotEntries,
-			DiskBudget: int64(float64(budget) * share),
-			Codecs:     codecs,
+	st := &Stores{}
+	for _, c := range storeClasses {
+		s, err := artifact.Open(artifact.Options{
+			Dir:        filepath.Join(opts.Dir, c.name),
+			DiskBudget: int64(float64(budget) * c.share),
+			Codecs:     c.codecs,
 			Faults:     opts.Faults,
 			Logger:     opts.Logger,
 		})
-	}
-	var err error
-	if st.P1, err = open("p1", storeShareP1, map[string]artifact.Codec{
-		"p1": core.P1Codec{},
-	}); err == nil {
-		if st.P2, err = open("p2", storeShareP2, map[string]artifact.Codec{
-			"p2": core.P2Codec{},
-			"ps": core.StaticCodec{},
-		}); err == nil {
-			if st.Journal, err = open("jr", storeShareJournal, map[string]artifact.Codec{
-				"jr": artifact.BytesCodec{},
-			}); err == nil {
-				if st.Clone, err = open("ci", storeShareClone, map[string]artifact.Codec{
-					"ci": clonedet.FingerprintCodec{},
-				}); err == nil {
-					if st.AI, err = open("ai", storeShareAbsint, map[string]artifact.Codec{
-						"ai": core.AbsintCodec{},
-					}); err == nil {
-						st.HY, err = open("hy", storeShareHybrid, map[string]artifact.Codec{
-							"hy": core.HybridCodec{},
-						})
-					}
-				}
-			}
+		if err != nil {
+			st.Close()
+			return nil, fmt.Errorf("service: open stores: %w", err)
 		}
-	}
-	if err != nil {
-		st.Close()
-		return nil, fmt.Errorf("service: open stores: %w", err)
+		st.stores = append(st.stores, s)
 	}
 	return st, nil
 }
 
-// each visits the non-nil stores with their class names.
-func (st *Stores) each(fn func(class string, s *artifact.Store)) {
-	for _, c := range []struct {
-		name  string
-		store *artifact.Store
-	}{
-		{"p1", st.P1}, {"p2", st.P2}, {"jr", st.Journal}, {"ci", st.Clone}, {"ai", st.AI}, {"hy", st.HY},
-	} {
-		if c.store != nil {
-			fn(c.name, c.store)
-		}
+// memoryStores builds a memory-only bundle: one artifact.NewMemory(entries)
+// per store class.
+func memoryStores(entries int) *Stores {
+	st := &Stores{stores: make([]*artifact.Store, len(storeClasses))}
+	for i := range storeClasses {
+		st.stores[i] = artifact.NewMemory(entries)
 	}
+	return st
 }
 
-// pipelineStores maps each pipeline artifact class (core.Classes) to the
-// store persisting it; static analyses share the P2 store. Nil on a nil
-// bundle.
-func (st *Stores) pipelineStores() map[string]*artifact.Store {
+// cache returns the store holding keys of the given class prefix; nil (not
+// cached) on a nil bundle or an unknown prefix.
+func (st *Stores) cache(prefix string) core.Cache {
 	if st == nil {
 		return nil
 	}
-	return map[string]*artifact.Store{
-		core.ClassP1:     st.P1,
-		core.ClassP2:     st.P2,
-		core.ClassStatic: st.P2,
-		core.ClassAbsint: st.AI,
-		core.ClassHybrid: st.HY,
+	for i, c := range storeClasses {
+		if _, ok := c.codecs[prefix]; ok {
+			return st.stores[i]
+		}
 	}
+	return nil
 }
 
 // Close closes every store. Safe on a partially opened bundle.
@@ -149,7 +121,9 @@ func (st *Stores) Close() error {
 	if st == nil {
 		return nil
 	}
-	st.each(func(_ string, s *artifact.Store) { s.Close() })
+	for _, s := range st.stores {
+		s.Close()
+	}
 	return nil
 }
 
@@ -159,9 +133,12 @@ func (st *Stores) Saturated() bool {
 	if st == nil {
 		return false
 	}
-	sat := false
-	st.each(func(_ string, s *artifact.Store) { sat = sat || s.Saturated() })
-	return sat
+	for _, s := range st.stores {
+		if s.Saturated() {
+			return true
+		}
+	}
+	return false
 }
 
 // Counters snapshots every store's accounting, keyed by class.
@@ -169,7 +146,9 @@ func (st *Stores) Counters() map[string]artifact.Counters {
 	if st == nil {
 		return nil
 	}
-	out := make(map[string]artifact.Counters, 6)
-	st.each(func(class string, s *artifact.Store) { out[class] = s.Counters() })
+	out := make(map[string]artifact.Counters, len(st.stores))
+	for i, s := range st.stores {
+		out[storeClasses[i].name] = s.Counters()
+	}
 	return out
 }

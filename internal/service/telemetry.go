@@ -74,41 +74,25 @@ func newServiceMetrics(s *Service, reg *telemetry.Registry) *serviceMetrics {
 			return float64(s.running)
 		})
 	reg.Gauge("octopocs_workers", "Worker-pool size.", nil).Set(int64(s.cfg.Workers))
-	for _, class := range []string{core.ClassP1, core.ClassP2} {
-		labels := telemetry.Labels{"cache": class}
-		c := s.caches[class]
-		reg.CounterFunc("octopocs_cache_hits_total",
-			"Artifact cache hits.", labels, func() float64 {
-				if cc := cacheCounters(c); cc != nil {
-					return float64(cc.Hits)
-				}
-				return 0
-			})
-		reg.CounterFunc("octopocs_cache_misses_total",
-			"Artifact cache misses.", labels, func() float64 {
-				if cc := cacheCounters(c); cc != nil {
-					return float64(cc.Misses)
-				}
-				return 0
-			})
-	}
-	if s.cfg.Stores != nil {
-		registerStoreMetrics(reg, s.cfg.Stores)
-	}
+	registerStoreMetrics(reg, s.stores)
 
 	m.engines = core.NewMetrics(reg)
 	m.clonedet = clonedet.NewMetrics(reg)
 	return m
 }
 
-// registerStoreMetrics exposes the persistent artifact stores' accounting
-// as scrape-time collectors, one series per class. The disk-bytes gauge,
-// corruption counter, write-error counter, and saturation flag are the
-// alert-worthy signals (see OPERATIONS.md); hits and misses feed the same
-// warm-restart dashboards as the cache counters.
+// registerStoreMetrics exposes the store bundle's accounting as scrape-time
+// collectors, one series per class; nothing when caching is off. The
+// disk-bytes gauge, corruption counter, write-error counter, and saturation
+// flag are the alert-worthy signals (see OPERATIONS.md); hits and misses
+// feed the warm-restart dashboards. A memory-only bundle's disk series
+// read 0.
 func registerStoreMetrics(reg *telemetry.Registry, stores *Stores) {
-	stores.each(func(class string, st *artifact.Store) {
-		labels := telemetry.Labels{"class": class}
+	if stores == nil {
+		return
+	}
+	for i, st := range stores.stores {
+		labels := telemetry.Labels{"class": storeClasses[i].name}
 		counter := func(name, help string, read func(artifact.Counters) uint64) {
 			reg.CounterFunc(name, help, labels, func() float64 {
 				return float64(read(st.Counters()))
@@ -149,5 +133,5 @@ func registerStoreMetrics(reg *telemetry.Registry, stores *Stores) {
 				}
 				return 0
 			})
-	})
+	}
 }

@@ -32,45 +32,11 @@ func (e *Executor) branch(st *State, fr *Frame, in *isa.Inst, directed bool) err
 		return nil
 	}
 
-	type option struct {
-		block      int
-		constraint *expr.Expr
-	}
-	opts := []option{
-		{in.ThenIdx, expr.Bool(cond)},
-		{in.ElseIdx, expr.Not(cond)},
-	}
+	opts := arms(cond, in)
 	if directed && e.preferElse(st, fr, in) {
 		opts[0], opts[1] = opts[1], opts[0]
 	}
-
-	// A statically folded branch has exactly one direction any execution
-	// can take; the other is infeasible on every path, so skipping it (and
-	// never scheduling it as a backtrack alternative) cannot change the
-	// outcome — it only saves the SAT checks that would refute it.
-	prunedTaken := -1
-	if e.cfg.Prune != nil && in.ThenIdx != in.ElseIdx {
-		if t, ok := e.cfg.Prune.BranchTaken(fr.fn.Name, fr.block); ok {
-			prunedTaken = t
-		}
-	}
-
-	// An absint-proved branch is discharged without any solver call: the
-	// proven direction is feasible (an active state's path condition is
-	// invariantly satisfiable, and every concrete model of it takes the
-	// proven arm), the other direction is infeasible on every path. The
-	// branch constraint is still recorded, so the committed constraint set
-	// — and hence the reformed PoC bytes — are identical either way.
-	oracleTaken := -1
-	if e.cfg.Oracle != nil && in.ThenIdx != in.ElseIdx {
-		if t, ok := e.cfg.Oracle.BranchProved(fr.fn.Name, fr.block); ok {
-			oracleTaken = t
-			if e.cfg.Journal.Verbose() {
-				e.cfg.Journal.Emit(journal.EvSymexAbsint, journal.Attrs{
-					"fn": fr.fn.Name, "block": fr.block, "taken": t})
-			}
-		}
-	}
+	pruned, proved := e.staticTaken(fr, in)
 
 	inLoop := fr.visits[fr.block] > 1
 	for i, o := range opts {
@@ -81,27 +47,16 @@ func (e *Executor) branch(st *State, fr *Frame, in *isa.Inst, directed bool) err
 			inLoop = true
 			continue
 		}
-		if prunedTaken >= 0 && o.block != prunedTaken {
-			e.stat.PrunedBranches++
-			continue
-		}
-		var ok bool
-		if oracleTaken >= 0 {
-			e.stat.SatDischargedStatic++
-			ok = o.block == oracleTaken
-		} else {
-			var err error
-			ok, err = e.feasible(st, o.constraint)
-			if err != nil {
-				return err
-			}
+		ok, err := e.armFeasible(st, o, pruned, proved)
+		if err != nil {
+			return err
 		}
 		if ok {
 			// Leave the untried direction (if any) pending in the
 			// frontier before this path commits.
 			if directed && i == 0 &&
-				!(prunedTaken >= 0 && opts[1].block != prunedTaken) &&
-				!(oracleTaken >= 0 && opts[1].block != oracleTaken) &&
+				!(pruned >= 0 && opts[1].block != pruned) &&
+				!(proved >= 0 && opts[1].block != proved) &&
 				fr.visits[opts[1].block] < e.cfg.Theta {
 				e.emit(st, []*expr.Expr{opts[1].constraint}, []int64{e.blockScore(fr, opts[1].block)})
 			}
@@ -119,6 +74,71 @@ func (e *Executor) branch(st *State, fr *Frame, in *isa.Inst, directed bool) err
 		st.die(KindProgramDead, fmt.Sprintf("no feasible branch at %s", st.loc()))
 	}
 	return nil
+}
+
+// arm is one direction of a symbolic branch: its successor block and the
+// constraint taking it adds to the path.
+type arm struct {
+	block      int
+	constraint *expr.Expr
+}
+
+// arms lists a symbolic branch's directions, then before else.
+func arms(cond *expr.Expr, in *isa.Inst) [2]arm {
+	return [2]arm{{in.ThenIdx, expr.Bool(cond)}, {in.ElseIdx, expr.Not(cond)}}
+}
+
+// staticTaken looks up what static analysis fixed about the symbolic branch
+// ending fr's block; each result is -1 when nothing is known.
+//
+// pruned is the only direction any execution can take (Config.Prune): the
+// other is infeasible on every path, so skipping it (and never scheduling
+// it as a backtrack alternative) cannot change the outcome — it only saves
+// the SAT checks that would refute it.
+//
+// proved is the direction absint proved (Config.Oracle); the branch is
+// discharged without any solver call: the proven direction is feasible (an
+// active state's path condition is invariantly satisfiable, and every
+// concrete model of it takes the proven arm), the other direction is
+// infeasible on every path. The branch constraint is still recorded, so
+// the committed constraint set — and hence the reformed PoC bytes — are
+// identical either way.
+func (e *Executor) staticTaken(fr *Frame, in *isa.Inst) (pruned, proved int) {
+	pruned, proved = -1, -1
+	if in.ThenIdx == in.ElseIdx {
+		return pruned, proved
+	}
+	if e.cfg.Prune != nil {
+		if t, ok := e.cfg.Prune.BranchTaken(fr.fn.Name, fr.block); ok {
+			pruned = t
+		}
+	}
+	if e.cfg.Oracle != nil {
+		if t, ok := e.cfg.Oracle.BranchProved(fr.fn.Name, fr.block); ok {
+			proved = t
+			if e.cfg.Journal.Verbose() {
+				e.cfg.Journal.Emit(journal.EvSymexAbsint, journal.Attrs{
+					"fn": fr.fn.Name, "block": fr.block, "taken": t})
+			}
+		}
+	}
+	return pruned, proved
+}
+
+// armFeasible decides whether a state may take one arm of a symbolic
+// branch, given staticTaken's answers: a statically dead arm is refused
+// and an absint-proved branch is answered without a solver call; every
+// other arm asks the solver.
+func (e *Executor) armFeasible(st *State, o arm, pruned, proved int) (bool, error) {
+	switch {
+	case pruned >= 0 && o.block != pruned:
+		e.stat.PrunedBranches++
+		return false, nil
+	case proved >= 0:
+		e.stat.SatDischargedStatic++
+		return o.block == proved, nil
+	}
+	return e.feasible(st, o.constraint)
 }
 
 // preferElse reports whether the else successor should be tried first,

@@ -232,49 +232,15 @@ func (e *Executor) resultWhy(kind StateKind, why string) *Result {
 
 // fork splits a state at a symbolic branch into the feasible successors.
 func (e *Executor) fork(st *State, fr *Frame, in *isa.Inst) ([]*State, error) {
-	cond := reg(fr, in.A)
-	type option struct {
-		block      int
-		constraint *expr.Expr
-	}
-	prunedTaken := -1
-	if e.cfg.Prune != nil && in.ThenIdx != in.ElseIdx {
-		if t, ok := e.cfg.Prune.BranchTaken(fr.fn.Name, fr.block); ok {
-			prunedTaken = t
-		}
-	}
-	oracleTaken := -1
-	if e.cfg.Oracle != nil && in.ThenIdx != in.ElseIdx {
-		if t, ok := e.cfg.Oracle.BranchProved(fr.fn.Name, fr.block); ok {
-			oracleTaken = t
-		}
-	}
+	pruned, proved := e.staticTaken(fr, in)
 	var out []*State
-	for _, o := range []option{
-		{in.ThenIdx, expr.Bool(cond)},
-		{in.ElseIdx, expr.Not(cond)},
-	} {
+	for _, o := range arms(reg(fr, in.A), in) {
 		if fr.visits[o.block] >= e.cfg.Theta {
 			continue
 		}
-		if prunedTaken >= 0 && o.block != prunedTaken {
-			// Statically dead direction: the feasibility check below
-			// would refute it; skip the SAT call.
-			e.stat.PrunedBranches++
-			continue
-		}
-		var ok bool
-		if oracleTaken >= 0 {
-			// Absint-discharged: the proven arm is feasible, the other
-			// is not, with no solver call either way (see Config.Oracle).
-			e.stat.SatDischargedStatic++
-			ok = o.block == oracleTaken
-		} else {
-			var err error
-			ok, err = e.feasible(st, o.constraint)
-			if err != nil {
-				return nil, err
-			}
+		ok, err := e.armFeasible(st, o, pruned, proved)
+		if err != nil {
+			return nil, err
 		}
 		if !ok {
 			continue
