@@ -250,8 +250,10 @@ func BenchmarkSolver(b *testing.B) {
 // BenchmarkSymexFrontier measures directed frontier exploration of both
 // corpus.SymexBench() specs as octoledger's symex-frontier workload runs
 // them: 2 explorer workers, no solver cache, so every feasibility check is
-// solved. bitfan-d12 is led by frontier bookkeeping, mixmul-d8 by the
-// solver's pair filters.
+// solved. Each check submits only its independent slice of the path, the
+// constraints on the bytes the branch reads: bitfan-d12, whose diamonds
+// share a byte eight at a time, is led by frontier bookkeeping, mixmul-d8
+// by one two-symbol pair filter per check.
 func BenchmarkSymexFrontier(b *testing.B) {
 	for _, spec := range corpus.SymexBench() {
 		dist := cfg.Build(spec.Prog).DistancesTo(spec.Target)

@@ -31,9 +31,16 @@ type SymexBenchSpec struct {
 // first. They are intentionally NOT part of All(): they model search-space
 // shape, not vulnerability propagation, and have no S/T/poc triple.
 func SymexBench() []*SymexBenchSpec {
+	return SymexBenchAt(12, 8)
+}
+
+// SymexBenchAt returns the SymexBench workloads at the given diamond
+// depths: bitfan at bitfanDepth, mixmul at mixmulDepth. Unit tests use
+// small depths.
+func SymexBenchAt(bitfanDepth, mixmulDepth int) []*SymexBenchSpec {
 	return []*SymexBenchSpec{
-		bitfanSpec(12),
-		mixmulSpec(8),
+		bitfanSpec(bitfanDepth),
+		mixmulSpec(mixmulDepth),
 	}
 }
 
@@ -81,9 +88,11 @@ func bitfanSpec(depth int) *SymexBenchSpec {
 // (x, y) and branches on (x*17 + y*31) & 63 == m_i. Filtering one such
 // equality over two full byte domains costs 16,640 evaluations (each value
 // of either symbol scans the other's domain up to its first support) and
-// its negation 520, so every feasibility check is genuinely expensive —
-// this workload measures how the frontier scales when SAT work dominates,
-// and how much the memoized verdict cache recovers on re-exploration.
+// its negation 520. The pairs are disjoint, so a feasibility check's
+// independent slice holds only the constraints on the bytes its branch
+// reads, and a diamond's check filters its one pair — this workload measures how the frontier scales
+// when every check is a real two-symbol solve, and how much the memoized
+// verdict cache recovers on re-exploration.
 func mixmulSpec(depth int) *SymexBenchSpec {
 	nbytes := 2 * depth
 	b := asm.NewBuilder(fmt.Sprintf("mixmul-d%d", depth))

@@ -63,7 +63,7 @@ func (e *Executor) branch(st *State, fr *Frame, in *isa.Inst, directed bool) err
 			if fr.visits[o.block] > 0 {
 				e.stat.LoopStates++ // the paper's transient loop state
 			}
-			st.AddConstraint(o.constraint)
+			st.commit(o.constraint, proved >= 0)
 			e.enterBlock(st, fr, o.block)
 			return nil
 		}
@@ -280,7 +280,7 @@ func (e *Executor) callIndirect(st *State, fr *Frame, in *isa.Inst, visitor Visi
 				}
 				e.emit(st, alts, dists)
 			}
-			st.AddConstraint(pin)
+			st.commit(pin, false)
 			callee := resolve(c.v)
 			if e.onResolve != nil {
 				e.onResolve(st.loc(), callee.Name)

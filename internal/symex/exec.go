@@ -244,6 +244,8 @@ type Executor struct {
 	cfg  Config
 	sol  solver.Solver
 	stat Stats
+	// slicer builds each feasibility check's independent slice.
+	slicer slicer
 	// emit receives a directed decision's untried alternatives, with the
 	// program counter still at the deciding instruction so that resuming
 	// re-executes it under the alternative's constraint. Set per worker by
@@ -303,13 +305,24 @@ func (e *Executor) sat(cs []*expr.Expr) (bool, error) {
 	return e.sol.Sat(cs)
 }
 
+// sliceHook, when non-nil, observes every solver-backed feasibility check:
+// the path condition, the extra constraint and the slice's verdict. Tests
+// set it to compare the slice against the whole path.
+var sliceHook func(pc []*expr.Expr, extra *expr.Expr, ok bool, err error)
+
 // feasible checks whether adding extra to the state's path condition keeps
-// it satisfiable.
+// it satisfiable. Only extra's independent slice of the path goes to the
+// solver (see slicer.slice): the rest is known satisfiable and shares no
+// symbol with it, so it cannot change the answer.
 func (e *Executor) feasible(st *State, extra *expr.Expr) (bool, error) {
 	if v, ok := extra.IsConst(); ok {
 		return v != 0, nil
 	}
-	return e.sat(append(append([]*expr.Expr{}, st.constraints...), extra))
+	ok, err := e.sat(e.slicer.slice(st.constraints, st.known, extra))
+	if sliceHook != nil {
+		sliceHook(st.constraints, extra, ok, err)
+	}
+	return ok, err
 }
 
 // concretize pins a symbolic expression to one concrete value consistent
@@ -339,7 +352,7 @@ func (e *Executor) concretize(st *State, v *expr.Expr) (val uint64, ok bool, err
 	if !evalOK {
 		return 0, false, fmt.Errorf("concretize %v: expression not evaluable", v)
 	}
-	st.AddConstraint(expr.Bin(expr.OpEq, v, expr.Const(val)))
+	st.commit(expr.Bin(expr.OpEq, v, expr.Const(val)), false)
 	return val, true, nil
 }
 
@@ -562,7 +575,7 @@ func (e *Executor) binOp(st *State, op isa.BinOp, a, b *expr.Expr) (*expr.Expr, 
 				st.die(KindCrashed, "div-by-zero")
 				return nil, nil
 			}
-			st.AddConstraint(nz)
+			st.commit(nz, false)
 		}
 	case isa.And:
 		eop = expr.OpAnd

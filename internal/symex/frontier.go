@@ -313,7 +313,7 @@ func (w *fWorker) materialize(nd *node) (*State, bool) {
 	st.path = nd.path
 	st.emitSeq = 0
 	if nd.alt != nil {
-		st.AddConstraint(nd.alt)
+		st.commit(nd.alt, false)
 	}
 	return st, true
 }

@@ -246,7 +246,7 @@ func (e *Executor) fork(st *State, fr *Frame, in *isa.Inst) ([]*State, error) {
 			continue
 		}
 		ns := st.clone()
-		ns.AddConstraint(o.constraint)
+		ns.commit(o.constraint, proved >= 0)
 		nf := ns.top()
 		e.enterBlock(ns, nf, o.block)
 		out = append(out, ns)
@@ -274,7 +274,7 @@ func (e *Executor) forkIndirect(st *State, fr *Frame, in *isa.Inst) ([]*State, e
 			continue
 		}
 		ns := st.clone()
-		ns.AddConstraint(pin)
+		ns.commit(pin, false)
 		ns.pinnedDispatch = true
 		out = append(out, ns)
 	}

@@ -322,8 +322,12 @@ type State struct {
 	// argPos is the argument-string channel cursor.
 	argPos      int64
 	constraints []*expr.Expr
-	steps       int64
-	kind        StateKind
+	// known counts the leading constraints known to be jointly
+	// satisfiable: symex's own checks advance it (commit), AddConstraint
+	// does not. Feasibility checks may leave out only what lies inside it.
+	known int
+	steps int64
+	kind  StateKind
 	// why records the reason for a dead/terminal kind.
 	why string
 	// entries records the objective-function arrivals observed so far.
@@ -356,6 +360,7 @@ func (s *State) clone() *State {
 		lastReadFD:  s.lastReadFD,
 		argPos:      s.argPos,
 		constraints: append([]*expr.Expr(nil), s.constraints...),
+		known:       s.known,
 		steps:       s.steps,
 		kind:        s.kind,
 		why:         s.why,
@@ -394,8 +399,22 @@ func (s *State) loc() isa.Loc {
 func (s *State) Constraints() []*expr.Expr { return s.constraints }
 
 // AddConstraint appends a constraint to the path condition; used by the
-// combining phase to bind crash-primitive bytes.
+// combining phase to bind crash-primitive bytes. The constraint is not
+// known to be satisfiable with the path, so every later feasibility check
+// submits it, and all it shares symbols with, to the solver.
 func (s *State) AddConstraint(c *expr.Expr) {
+	s.constraints = append(s.constraints, c)
+}
+
+// commit appends c after a feasibility check accepted it. A solver check
+// (implied false) ran on c's slice, which holds every constraint past the
+// known prefix, so the whole path condition is now known satisfiable. An
+// absint-proved arm (implied true) holds in every model of the path
+// condition, so the path stays known satisfiable exactly as far as before.
+func (s *State) commit(c *expr.Expr, implied bool) {
+	if !implied || s.known == len(s.constraints) {
+		s.known = len(s.constraints) + 1
+	}
 	s.constraints = append(s.constraints, c)
 }
 
