@@ -294,6 +294,25 @@ func BenchmarkFuzzThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkHybridRescue verifies rows 18-21 with static pruning, absint
+// and the hybrid fuzzing fallback on, as octoledger's hybrid-rescue
+// workload and `octopocs -static -absint -hybrid` run them. The fuzz
+// campaign is most of its time, so it times the fuzzer's exec loop.
+func BenchmarkHybridRescue(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, spec := range corpus.HybridSet() {
+			rep, err := core.New(core.Config{StaticPrune: true, Absint: true, HybridFuzz: true}).Verify(spec.Pair)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Verdict != core.VerdictTriggeredByFuzzing {
+				b.Fatalf("row %d: verdict %v, want triggered-by-fuzzing", spec.Idx, rep.Verdict)
+			}
+		}
+	}
+}
+
 // BenchmarkPipelineEndToEnd measures a complete Verify on every verdict
 // class: Type-I (idx 4), Type-II (idx 8), Type-III (idx 10), Failure (15).
 func BenchmarkPipelineEndToEnd(b *testing.B) {

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"octopocs/internal/cfg"
 )
@@ -41,45 +41,38 @@ func RunDirected(t *Target, targetFn string, dists *cfg.Distances, c Config) *Re
 		return runShards(t, c, nil, aflfastEnergy)
 	}
 
-	// blockDist returns the normalized distance of one executed block.
-	blockDist := func(k blockKey) (float64, bool) {
-		if k.fn == targetFn {
+	// blockDist returns the normalized distance of one block.
+	blockDist := func(fn string, b int) (float64, bool) {
+		if fn == targetFn {
 			return 0, true
 		}
-		if v, ok := dists.ToEp(k.fn, k.b); ok {
+		if v, ok := dists.ToEp(fn, b); ok {
 			return float64(v), true
 		}
 		return 0, false
 	}
-	seedDist := func(blocks map[blockKey]bool) float64 {
-		// Sum in sorted key order: float addition is not associative, so
-		// ranging over the map directly would make the seed distance — and
-		// with it the whole campaign trajectory — depend on Go's randomized
-		// map iteration order.
-		keys := make([]blockKey, 0, len(blocks))
-		for k := range blocks {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].fn != keys[j].fn {
-				return keys[i].fn < keys[j].fn
-			}
-			return keys[i].b < keys[j].b
-		})
-		sum, n := 0.0, 0
-		for _, k := range keys {
-			if d, ok := blockDist(k); ok {
-				sum += d
-				n++
-			}
-		}
-		if n == 0 {
-			return math.Inf(1)
-		}
-		return sum / float64(n)
-	}
+	return runShards(t, c, blockDist, aflgoEnergy)
+}
 
-	return runShards(t, c, seedDist, aflgoEnergy)
+// seedDist is the AFLGo seed distance of the last exec: the mean distance
+// of the distinct blocks it entered that have one, +Inf if none has. The
+// sum runs in ascending dense block number, which is (function name,
+// block) order. Float addition is not associative, so any other order,
+// first entry included, would move seed distances and with them every
+// campaign trajectory.
+func (h *harness) seedDist() float64 {
+	slices.Sort(h.visited)
+	sum, n := 0.0, 0
+	for _, b := range h.visited {
+		if d := h.dist[b]; d != noDist {
+			sum += d
+			n++
+		}
+	}
+	if n == 0 {
+		return math.Inf(1)
+	}
+	return sum / float64(n)
 }
 
 // aflgoEnergy anneals between exploration and distance-driven

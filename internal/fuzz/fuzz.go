@@ -14,6 +14,7 @@ package fuzz
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -109,9 +110,15 @@ type seedInfo struct {
 }
 
 // harness drives executions with coverage instrumentation. It owns the
-// per-exec scratch state, so one exec allocates nothing beyond the VM run.
+// per-exec scratch state and one VM it resets for every exec, so an exec
+// allocates next to nothing and hashes nothing.
+//
+// Every block of the program has a dense number: functions in name order,
+// blocks in index order within each. ids, dist and seen are indexed by it,
+// and ascending numbers are ascending (function name, block) pairs.
 type harness struct {
 	target *Target
+	m      *vm.Machine
 	// virgin is the global coverage map of hit-count buckets seen.
 	virgin [MapSize]uint8
 	// hits is the current exec's edge hit-count map. Only the entries
@@ -120,37 +127,83 @@ type harness struct {
 	touched []uint32
 	// prev is the previous block's shifted id (AFL's edge hashing).
 	prev uint32
-	// blocks is the current exec's set of distinct (func, block) pairs
-	// for AFLGo distance computation; nil unless the campaign is directed.
-	blocks map[blockKey]bool
-	hooks  vm.Hooks
+	// first[fn.Index] is the dense number of fn's block 0.
+	first []uint32
+	// ids holds each block's blockID.
+	ids []uint32
+	// dist holds each block's AFLGo distance, noDist where it has none;
+	// nil unless the campaign is directed.
+	dist []float64
+	// seen[n] == epoch marks block n entered in the current exec, and
+	// visited lists those blocks in first-entry order; both are kept only
+	// for directed campaigns. Bumping epoch empties the set.
+	seen    []uint32
+	epoch   uint32
+	visited []uint32
+	hooks   vm.Hooks
 	// pathFreq counts executions per path signature (AFLFast f(i)).
 	pathFreq map[uint64]int64
 	execs    int64
 }
 
-// newHarness builds a harness for t; wantBlocks makes every exec record
-// the blocks it ran (directed campaigns).
-func newHarness(t *Target, wantBlocks bool) *harness {
+// noDist marks a block with no distance to the target; real distances are
+// never negative.
+const noDist = -1
+
+// newHarness builds a harness for t. A non-nil blockDist makes the
+// campaign directed: every exec records the blocks it entered, and
+// blockDist gives each block's distance, asked once per block here.
+func newHarness(t *Target, blockDist func(fn string, b int) (float64, bool)) *harness {
 	h := &harness{target: t, pathFreq: make(map[uint64]int64)}
-	if wantBlocks {
-		h.blocks = make(map[blockKey]bool)
+	funcs := slices.Clone(t.Prog.Funcs)
+	slices.SortFunc(funcs, func(a, b *isa.Function) int { return strings.Compare(a.Name, b.Name) })
+	h.first = make([]uint32, len(funcs))
+	for _, f := range funcs {
+		h.first[f.Index] = uint32(len(h.ids))
+		for b := range f.Blocks {
+			h.ids = append(h.ids, blockID(f.Name, b))
+			if blockDist != nil {
+				d, ok := blockDist(f.Name, b)
+				if !ok {
+					d = noDist
+				}
+				h.dist = append(h.dist, d)
+			}
+		}
+	}
+	if blockDist != nil {
+		h.seen = make([]uint32, len(h.ids))
 	}
 	h.hooks.OnBlock = h.onBlock
+	h.m = vm.New(t.Prog, vm.Config{MaxSteps: t.MaxSteps, Hooks: &h.hooks})
 	return h
 }
 
 // onBlock counts the edge into block b of fn.
-func (h *harness) onBlock(fn string, b int) {
-	cur := blockID(fn, b)
+func (h *harness) onBlock(fn *isa.Function, b int) {
+	n := h.first[fn.Index] + uint32(b)
+	cur := h.ids[n]
 	i := (h.prev ^ cur) & (MapSize - 1)
 	if h.hits[i] == 0 {
 		h.touched = append(h.touched, i)
 	}
 	h.hits[i]++
 	h.prev = cur >> 1
-	if h.blocks != nil {
-		h.blocks[blockKey{fn, b}] = true
+	if h.seen != nil && h.seen[n] != h.epoch {
+		h.seen[n] = h.epoch
+		h.visited = append(h.visited, n)
+	}
+}
+
+// clearVisited empties the exec's block set in O(1): it bumps the epoch,
+// and only when the epoch wraps to zero, where stamps from 2^32 execs ago
+// would read as current, does it zero the stamps.
+func (h *harness) clearVisited() {
+	h.visited = h.visited[:0]
+	h.epoch++
+	if h.epoch == 0 {
+		clear(h.seen)
+		h.epoch = 1
 	}
 }
 
@@ -186,20 +239,13 @@ type execResult struct {
 	loc     isa.Loc
 }
 
-type blockKey struct {
-	fn string
-	b  int
-}
-
-// run executes one input and folds its coverage into the global state.
+// run executes one input on the reset machine and folds its coverage into
+// the global state.
 func (h *harness) run(input []byte) execResult {
 	h.execs++
-	clear(h.blocks)
-	out := vm.New(h.target.Prog, vm.Config{
-		Input:    input,
-		MaxSteps: h.target.MaxSteps,
-		Hooks:    &h.hooks,
-	}).Run()
+	h.clearVisited()
+	h.m.Reset(input)
+	out := h.m.Run()
 
 	var res execResult
 	res.pathID, res.newCov = h.fold()
@@ -252,18 +298,18 @@ func blockID(fn string, b int) uint32 {
 // stop aborts the shard early (only used when a lower-indexed shard has
 // already won, so an aborted shard's result is never consumed).
 func campaign(t *Target, cfg Config, rng *rand.Rand,
-	seedDist func(blocks map[blockKey]bool) float64,
+	blockDist func(fn string, b int) (float64, bool),
 	energy func(s *seedInfo, h *harness, progress float64) int,
 	stop func() bool,
 ) *Result {
 	cfg.defaults()
-	h := newHarness(t, seedDist != nil)
+	h := newHarness(t, blockDist)
 	var queue []*seedInfo
 
 	admit := func(data []byte, er execResult) {
 		info := &seedInfo{data: append([]byte(nil), data...), pathID: er.pathID}
-		if seedDist != nil {
-			info.dist = seedDist(h.blocks)
+		if h.dist != nil {
+			info.dist = h.seedDist()
 		}
 		queue = append(queue, info)
 	}
@@ -299,7 +345,9 @@ func campaign(t *Target, cfg Config, rng *rand.Rand,
 				}
 				er := h.run(cand)
 				if er.crashed {
-					return &Result{Found: true, Crash: cand, Execs: h.execs, QueueLen: len(queue), CrashLoc: er.loc}
+					// cand is the mutator's buffer; the crash outlives it.
+					crash := append([]byte(nil), cand...)
+					return &Result{Found: true, Crash: crash, Execs: h.execs, QueueLen: len(queue), CrashLoc: er.loc}
 				}
 				if er.newCov {
 					admit(cand, er)
@@ -329,12 +377,12 @@ func shardSeed(seed int64, shard int) int64 {
 // With one shard this reduces to the legacy single-campaign behavior,
 // including using Config.Seed unmixed.
 func runShards(t *Target, c Config,
-	seedDist func(blocks map[blockKey]bool) float64,
+	blockDist func(fn string, b int) (float64, bool),
 	energy func(s *seedInfo, h *harness, progress float64) int,
 ) *Result {
 	c.defaults()
 	if c.Shards <= 1 {
-		res := campaign(t, c, rand.New(rand.NewSource(c.Seed)), seedDist, energy, nil)
+		res := campaign(t, c, rand.New(rand.NewSource(c.Seed)), blockDist, energy, nil)
 		if res.Found {
 			res.WinnerShard = 0
 		} else {
@@ -373,7 +421,7 @@ func runShards(t *Target, c Config,
 				}
 				stop := func() bool { return atomic.LoadInt64(&minFound) < i }
 				rng := rand.New(rand.NewSource(shardSeed(c.Seed, int(i))))
-				res := campaign(t, sc, rng, seedDist, energy, stop)
+				res := campaign(t, sc, rng, blockDist, energy, stop)
 				results[i] = res
 				if res.Found {
 					for {

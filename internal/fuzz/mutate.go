@@ -11,6 +11,9 @@ var interesting = []int64{-128, -1, 0, 1, 16, 32, 64, 100, 127, 128, 255, 256, 5
 // mutator produces candidate inputs. Deterministic stages walk the seed
 // bytes systematically; havoc stacks random edits. A non-empty frozen mask
 // confines every edit to the unfrozen (reformable) byte positions.
+//
+// Every mutant is written into one mutator-owned buffer, so a mutant is
+// valid only until the next call; callers copy the ones they keep.
 type mutator struct {
 	rng    *rand.Rand
 	maxLen int
@@ -18,6 +21,7 @@ type mutator struct {
 	// pos caches allowed(posLen); posLen is -1 until the first call.
 	pos    []int
 	posLen int
+	buf    []byte
 }
 
 func newMutator(rng *rand.Rand, maxLen int, frozen []Span) *mutator {
@@ -65,9 +69,11 @@ func (m *mutator) restoreFrozen(out, seed []byte) {
 // interesting values. Both walks range over the allowed positions only,
 // which is the identity mapping when no mask is set.
 func (m *mutator) deterministic(seed []byte, k int) []byte {
-	out := append([]byte(nil), seed...)
+	out := append(m.buf[:0], seed...)
+	m.buf = out
 	if len(out) == 0 {
-		return []byte{byte(k)}
+		m.buf = append(out, byte(k))
+		return m.buf
 	}
 	pos := m.allowed(len(out))
 	if len(pos) == 0 {
@@ -91,7 +97,7 @@ var havocMaskCases = []int{0, 1, 2, 3, 4, 8}
 
 // havoc applies 1..32 stacked random edits; other donates splice content.
 func (m *mutator) havoc(seed, other []byte) []byte {
-	out := append([]byte(nil), seed...)
+	out := append(m.buf[:0], seed...)
 	edits := 1 + m.rng.Intn(32)
 	for e := 0; e < edits; e++ {
 		if len(out) == 0 {
@@ -130,18 +136,17 @@ func (m *mutator) havoc(seed, other []byte) []byte {
 			if len(out) < m.maxLen {
 				p := m.rng.Intn(len(out) + 1)
 				n := 1 + m.rng.Intn(8)
-				ins := make([]byte, n)
-				for i := range ins {
-					ins[i] = byte(m.rng.Intn(256))
+				out = openGap(out, p, n)
+				for i := p; i < p+n; i++ {
+					out[i] = byte(m.rng.Intn(256))
 				}
-				out = append(out[:p], append(ins, out[p:]...)...)
 			}
 		case 7: // duplicate span
 			if len(out) < m.maxLen && len(out) > 0 {
 				p := m.rng.Intn(len(out))
 				n := 1 + m.rng.Intn(min(8, len(out)-p))
-				dup := append([]byte(nil), out[p:p+n]...)
-				out = append(out[:p], append(dup, out[p:]...)...)
+				// The gap keeps its old bytes: out[p:p+n] twice.
+				out = openGap(out, p, n)
 			}
 		case 8: // splice from another seed
 			if len(other) > 0 {
@@ -161,5 +166,14 @@ func (m *mutator) havoc(seed, other []byte) []byte {
 	if len(m.frozen) > 0 {
 		m.restoreFrozen(out, seed)
 	}
+	m.buf = out
+	return out
+}
+
+// openGap grows out by n bytes and shifts out[p:] right by n, leaving
+// out[p:p+n] as it was.
+func openGap(out []byte, p, n int) []byte {
+	out = append(out, make([]byte, n)...)
+	copy(out[p+n:], out[p:len(out)-n])
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"octopocs/internal/isa"
 )
 
 func TestBucketClassification(t *testing.T) {
@@ -24,7 +26,7 @@ func TestBucketClassification(t *testing.T) {
 }
 
 func TestAFLFastEnergyShape(t *testing.T) {
-	h := newHarness(&Target{}, false)
+	h := newHarness(&Target{Prog: &isa.Program{}}, nil)
 	s := &seedInfo{pathID: 1}
 
 	// Energy grows exponentially with how often the seed was picked.
@@ -62,7 +64,7 @@ func TestAFLFastEnergyShape(t *testing.T) {
 }
 
 func TestAFLGoEnergyAnnealing(t *testing.T) {
-	h := newHarness(&Target{}, false)
+	h := newHarness(&Target{Prog: &isa.Program{}}, nil)
 	h.pathFreq[1] = 4
 	near := &seedInfo{pathID: 1, fuzzed: 3, dist: 1}
 	far := &seedInfo{pathID: 1, fuzzed: 3, dist: 100000}

@@ -128,6 +128,11 @@ type Inst struct {
 	Cmp  CmpOp
 	Size uint8 // load/store width: 1, 2, 4 or 8
 	Sys  Sys
+	// CalleeIdx is the position of Callee in Program.Funcs for OpCall,
+	// filled in by Program.Link (-1 when no such function exists, which
+	// Validate rejects). An int32 fits the padding after Sys, so Inst
+	// does not grow.
+	CalleeIdx int32
 	// Callee is the target function name for OpCall.
 	Callee string
 	// Args are argument registers for OpCall, OpCallInd and OpSyscall.
@@ -167,11 +172,14 @@ func (b *Block) Terminator() *Inst {
 }
 
 // Function is a named function: a parameter count and a list of basic
-// blocks. Blocks[0] is the entry block.
+// blocks. Blocks[0] is the entry block. A Function belongs to one Program.
 type Function struct {
 	Name    string
 	NParams int
 	Blocks  []*Block
+	// Index is the function's position in Program.Funcs, filled in by
+	// Program.Link, so per-function tables can be slices, not maps.
+	Index int
 
 	blockIdx map[string]int
 }
@@ -237,6 +245,7 @@ func (p *Program) Link() error {
 			return fmt.Errorf("program %s: duplicate function %q", p.Name, f.Name)
 		}
 		p.funcIdx[f.Name] = i
+		f.Index = i
 	}
 	for _, f := range p.Funcs {
 		f.blockIdx = make(map[string]int, len(f.Blocks))
@@ -268,6 +277,11 @@ func (p *Program) Link() error {
 						return fmt.Errorf("%s.%s.%s: br to unknown block %q", p.Name, f.Name, b.Name, in.Else)
 					}
 					in.ThenIdx, in.ElseIdx = ti, ei
+				case OpCall:
+					in.CalleeIdx = -1
+					if idx, ok := p.funcIdx[in.Callee]; ok {
+						in.CalleeIdx = int32(idx)
+					}
 				}
 			}
 		}

@@ -20,6 +20,9 @@ const (
 	// which is how C allocators refuse absurd sizes produced by integer
 	// overflows.
 	maxAlloc = 1 << 26
+	// maxReuse caps the buffer a reset keeps for the next run, so one
+	// huge allocation does not stay resident for a whole campaign.
+	maxReuse = 1 << 20
 )
 
 // Region is a contiguous allocation.
@@ -36,6 +39,9 @@ func (r *Region) End() uint64 { return r.Base + uint64(len(r.Data)) }
 // Memory is a region-based address space with guard gaps. The zero value is
 // not usable; call NewMemory.
 type Memory struct {
+	// regions lists the live regions in allocation order. After a reset,
+	// the slots between len and cap still hold the previous run's
+	// regions, and the k-th allocation reuses slot k when it fits.
 	regions []*Region
 	next    uint64
 }
@@ -62,10 +68,36 @@ func (m *Memory) Alloc(n uint64) uint64 {
 	if n == 0 {
 		n = 1
 	}
-	r := &Region{Base: m.next, Data: make([]byte, n)}
-	m.regions = append(m.regions, r)
+	i := len(m.regions)
+	if i < cap(m.regions) {
+		m.regions = m.regions[:i+1]
+	} else {
+		m.regions = append(m.regions, nil)
+	}
+	r := m.regions[i]
+	if r == nil || uint64(cap(r.Data)) < n {
+		r = &Region{Data: make([]byte, n)}
+		m.regions[i] = r
+	} else {
+		r.Data = r.Data[:n]
+		clear(r.Data)
+		r.Freed, r.ReadOnly = false, false
+	}
+	r.Base = m.next
 	m.next += (n + regionGap + 15) &^ 15
 	return r.Base
+}
+
+// reset empties the address space, keeping the regions' buffers (up to
+// maxReuse bytes each) for the next run's allocations.
+func (m *Memory) reset() {
+	for i, r := range m.regions {
+		if cap(r.Data) > maxReuse {
+			m.regions[i] = nil
+		}
+	}
+	m.regions = m.regions[:0]
+	m.next = heapBase
 }
 
 // Map reserves a read-only region initialized with data and returns its base.
@@ -189,5 +221,6 @@ func (m *Memory) ReadBytes(addr uint64, n uint64) ([]byte, *memFault) {
 	return out, nil
 }
 
-// Regions returns the current region list (live view, for inspection).
+// Regions returns the current region list (live view, for inspection; a
+// machine's Reset reuses the regions).
 func (m *Memory) Regions() []*Region { return m.regions }

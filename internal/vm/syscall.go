@@ -14,7 +14,7 @@ func (m *Machine) doSyscall(fr *frame, in *isa.Inst) (*Outcome, bool) {
 
 	switch in.Sys {
 	case isa.SysOpen:
-		m.files = append(m.files, &file{})
+		m.files = append(m.files, file{})
 		fr.regs[in.Dst] = uint64(len(m.files) + 2) // fds start at 3
 
 	case isa.SysRead:

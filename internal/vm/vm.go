@@ -39,8 +39,9 @@ const stopCheckMask = 2047
 type Hooks struct {
 	// OnInst fires before each instruction executes.
 	OnInst func(loc isa.Loc, frameID uint64, in *isa.Inst)
-	// OnBlock fires when control enters a basic block.
-	OnBlock func(fn string, block int)
+	// OnBlock fires when control enters a basic block. fn is the linked
+	// function, so a hook can index per-function tables by fn.Index.
+	OnBlock func(fn *isa.Function, block int)
 	// OnBlockRegs fires when control enters a basic block, exposing the
 	// frame's register file at the block boundary; differential checkers
 	// (the absint soundness fuzz target) compare it against static
@@ -50,9 +51,10 @@ type Hooks struct {
 	OnLoad func(loc isa.Loc, frameID uint64, in *isa.Inst, addr uint64, val uint64)
 	// OnStore fires after a successful memory store.
 	OnStore func(loc isa.Loc, frameID uint64, in *isa.Inst, addr uint64, val uint64)
-	// OnCall fires after a call's callee frame is set up. dst is the
-	// caller register receiving the return value; callerID/calleeID
-	// identify the frames for register-taint bookkeeping.
+	// OnCall fires after a call's callee frame is set up. args aliases the
+	// callee's argument registers. dst is the caller register receiving
+	// the return value; callerID/calleeID identify the frames for
+	// register-taint bookkeeping.
 	OnCall func(site isa.Loc, callee string, args []uint64, callerID, calleeID uint64, dst isa.Reg)
 	// OnRet fires when a function returns. dst is the caller register
 	// receiving val.
@@ -80,12 +82,14 @@ type frame struct {
 }
 
 // Machine interprets one program over one input. Create with New, drive with
-// Run. A Machine is single-use.
+// Run. Reset readies the machine for another input, reusing its memory,
+// file table and output buffer, so a fuzzing campaign runs every exec on
+// one machine.
 type Machine struct {
 	prog     *isa.Program
 	mem      *Memory
 	input    []byte
-	files    []*file
+	files    []file
 	frames   []*frame
 	hooks    Hooks
 	maxSteps int64
@@ -96,14 +100,16 @@ type Machine struct {
 	nextID   uint64
 	// argPos is the cursor of the argument-string channel (SysArgRead).
 	argPos int64
+	// out is the outcome Run returns, valid until the next Reset.
+	out Outcome
 }
 
-// New prepares a machine. The program must have been validated.
+// New prepares a machine over cfg.Input. The program must have been
+// validated.
 func New(prog *isa.Program, cfg Config) *Machine {
 	m := &Machine{
 		prog:     prog,
 		mem:      NewMemory(),
-		input:    cfg.Input,
 		maxSteps: cfg.MaxSteps,
 		stop:     cfg.Stop,
 		metrics:  cfg.Metrics,
@@ -114,7 +120,21 @@ func New(prog *isa.Program, cfg Config) *Machine {
 	if cfg.Hooks != nil {
 		m.hooks = *cfg.Hooks
 	}
+	m.Reset(cfg.Input)
 	return m
+}
+
+// Reset readies the machine to run input from the state New leaves: an
+// empty address space, no open files, no output and a zero step count. The
+// program, hooks, step budget, stop channel and metrics stay. The previous
+// run's Outcome, Output and regions are invalid after Reset: their storage
+// is reused.
+func (m *Machine) Reset(input []byte) {
+	m.mem.reset()
+	m.input = input
+	m.files = m.files[:0]
+	m.steps, m.nextID, m.argPos = 0, 0, 0
+	m.output = m.output[:0]
 }
 
 // Memory exposes the address space, for post-mortem inspection.
@@ -134,7 +154,7 @@ func (m *Machine) fileFor(fd uint64) *file {
 	if idx < 0 || idx >= int64(len(m.files)) {
 		return nil
 	}
-	return m.files[idx]
+	return &m.files[idx]
 }
 
 func (m *Machine) top() *frame { return m.frames[len(m.frames)-1] }
@@ -157,19 +177,25 @@ func (m *Machine) backtrace() []StackEntry {
 	return bt
 }
 
+// finish ends the run with status st, filling the machine-owned outcome.
+func (m *Machine) finish(st Status) *Outcome {
+	m.out = Outcome{Status: st, Steps: m.steps, Output: m.output}
+	return &m.out
+}
+
+// crash ends the run with a crash of kind at the current location. The
+// Crash itself is allocated: callers keep it in reports and caches, where a
+// machine-owned one would pin the whole machine.
 func (m *Machine) crash(kind CrashKind, addr uint64, code int64) *Outcome {
-	return &Outcome{
-		Status: StatusCrash,
-		Steps:  m.steps,
-		Output: m.output,
-		Crash: &Crash{
-			Kind:      kind,
-			Loc:       m.loc(),
-			Addr:      addr,
-			Code:      code,
-			Backtrace: m.backtrace(),
-		},
+	out := m.finish(StatusCrash)
+	out.Crash = &Crash{
+		Kind:      kind,
+		Loc:       m.loc(),
+		Addr:      addr,
+		Code:      code,
+		Backtrace: m.backtrace(),
 	}
+	return out
 }
 
 func (m *Machine) crashFault(f *memFault) *Outcome {
@@ -177,74 +203,80 @@ func (m *Machine) crashFault(f *memFault) *Outcome {
 }
 
 func (m *Machine) exit(code uint64) *Outcome {
-	return &Outcome{Status: StatusExit, ExitCode: code, Steps: m.steps, Output: m.output}
+	out := m.finish(StatusExit)
+	out.ExitCode = code
+	return out
 }
 
 // framePool recycles activation records across calls and machines. A frame
-// carries the whole register file, about 1.8 KB, and a fuzzing campaign
-// starts a machine per exec, so a fresh frame per call was most of the
-// bytes a campaign allocated and most of the collections it caused. Run
-// and doRet hand a frame back only after its last use; pushFrame clears
-// it.
+// carries the whole register file, about 1.8 KB, so a fresh frame per call
+// was most of the bytes a fuzzing campaign allocated and most of the
+// collections it caused. Run and doRet hand a frame back only after its
+// last use; pushFrame clears it.
 var framePool = sync.Pool{New: func() any { return new(frame) }}
 
-// pushFrame activates fn with the given arguments and notifies OnCall.
-func (m *Machine) pushFrame(fn *isa.Function, args []uint64, retDst isa.Reg) {
-	var callerID uint64
-	var site isa.Loc
-	if len(m.frames) > 0 {
-		callerID = m.top().id
-		site = m.loc()
-	}
+// pushFrame activates fn with zeroed registers. The caller copies the
+// arguments into the returned frame and then calls entered.
+func (m *Machine) pushFrame(fn *isa.Function, retDst isa.Reg) *frame {
 	m.nextID++
 	fr := framePool.Get().(*frame)
 	*fr = frame{fn: fn, retDst: retDst, id: m.nextID}
-	copy(fr.regs[:], args)
 	m.frames = append(m.frames, fr)
+	return fr
+}
+
+// entered notifies OnCall, OnBlock and OnBlockRegs that fr, the top frame,
+// was entered with nargs arguments.
+func (m *Machine) entered(fr *frame, nargs int) {
 	if m.hooks.OnCall != nil {
-		m.hooks.OnCall(site, fn.Name, args, callerID, fr.id, retDst)
+		var callerID uint64
+		var site isa.Loc
+		if n := len(m.frames); n > 1 {
+			caller := m.frames[n-2]
+			callerID = caller.id
+			site = isa.Loc{Func: caller.fn.Name, Block: caller.block, Inst: caller.inst}
+		}
+		m.hooks.OnCall(site, fr.fn.Name, fr.regs[:nargs:nargs], callerID, fr.id, fr.retDst)
 	}
 	if m.hooks.OnBlock != nil {
-		m.hooks.OnBlock(fn.Name, 0)
+		m.hooks.OnBlock(fr.fn, 0)
 	}
 	if m.hooks.OnBlockRegs != nil {
-		m.hooks.OnBlockRegs(fn.Name, 0, fr.regs[:])
+		m.hooks.OnBlockRegs(fr.fn.Name, 0, fr.regs[:])
 	}
 }
 
-// Run executes the program to completion.
+// Run executes the program to completion. The Outcome is owned by the
+// machine and stays valid until the next Reset.
 func (m *Machine) Run() *Outcome {
 	out := m.run()
 	for _, fr := range m.frames {
 		framePool.Put(fr)
 	}
-	m.frames = nil
+	clear(m.frames)
+	m.frames = m.frames[:0]
 	m.metrics.observe(out)
 	return out
 }
 
 func (m *Machine) run() *Outcome {
-	entry := m.prog.Func(m.prog.Entry)
-	m.pushFrame(entry, nil, 0)
+	m.entered(m.pushFrame(m.prog.Func(m.prog.Entry), 0), 0)
 	for {
 		if m.stop != nil && m.steps&stopCheckMask == 0 {
 			select {
 			case <-m.stop:
-				return &Outcome{Status: StatusStopped, Steps: m.steps, Output: m.output}
+				return m.finish(StatusStopped)
 			default:
 			}
 		}
 		if m.steps >= m.maxSteps {
-			return &Outcome{
-				Status: StatusHang,
-				Steps:  m.steps,
-				Output: m.output,
-				Crash: &Crash{
-					Kind:      CrashHang,
-					Loc:       m.loc(),
-					Backtrace: m.backtrace(),
-				},
+			out := m.finish(StatusHang)
+			out.Crash = &Crash{
+				Kind:      CrashHang,
+				Loc:       m.loc(),
+				Backtrace: m.backtrace(),
 			}
+			return out
 		}
 		m.steps++
 		fr := m.top()
@@ -313,7 +345,7 @@ func (m *Machine) step(fr *frame, in *isa.Inst) *Outcome {
 		}
 		advance = false
 	case isa.OpCall:
-		m.doCall(fr, m.prog.Func(in.Callee), in)
+		m.doCall(fr, m.prog.Funcs[in.CalleeIdx], in)
 		advance = false
 	case isa.OpCallInd:
 		idx := fr.regs[in.A]
@@ -362,19 +394,21 @@ func (m *Machine) enterBlock(fr *frame, block int) {
 	fr.block = block
 	fr.inst = 0
 	if m.hooks.OnBlock != nil {
-		m.hooks.OnBlock(fr.fn.Name, block)
+		m.hooks.OnBlock(fr.fn, block)
 	}
 	if m.hooks.OnBlockRegs != nil {
 		m.hooks.OnBlockRegs(fr.fn.Name, block, fr.regs[:])
 	}
 }
 
+// doCall enters callee, copying the argument registers of in straight
+// from the caller's frame into the callee's.
 func (m *Machine) doCall(fr *frame, callee *isa.Function, in *isa.Inst) {
-	args := make([]uint64, len(in.Args))
+	cf := m.pushFrame(callee, in.Dst)
 	for i, r := range in.Args {
-		args[i] = fr.regs[r]
+		cf.regs[i] = fr.regs[r]
 	}
-	m.pushFrame(callee, args, in.Dst)
+	m.entered(cf, len(in.Args))
 }
 
 // doRet pops the current frame and recycles it. Returning from the entry

@@ -492,7 +492,7 @@ func TestHooks(t *testing.T) {
 	)
 	hooks := &vm.Hooks{
 		OnInst:  func(isa.Loc, uint64, *isa.Inst) { insts++ },
-		OnBlock: func(string, int) { blocks++ },
+		OnBlock: func(*isa.Function, int) { blocks++ },
 		OnLoad:  func(isa.Loc, uint64, *isa.Inst, uint64, uint64) { loads++ },
 		OnStore: func(isa.Loc, uint64, *isa.Inst, uint64, uint64) { stores++ },
 		OnCall: func(site isa.Loc, callee string, args []uint64, callerID, calleeID uint64, dst isa.Reg) {
