@@ -11,7 +11,7 @@
 //	octopocs -prioritize          verify all 15 rows, print a patch-priority list
 //	octopocs -pair 3 -context-free  ablation: disable context-aware taint
 //	octopocs -pair 8 -static-cfg    ablation: static CFG only
-//	octopocs -pair 16 -static       static pre-analysis: verify, fold, prune
+//	octopocs -pair 16 -static       static pre-analysis: check, fold, prune
 //	octopocs scan -source 7       discover row 7's clones, verify candidates
 //	octopocs scan -all-sources    batch-scan every corpus CVE (see scan.go)
 //	octopocs -all -store-dir ./store   persist phase artifacts; warm reruns reuse them
@@ -66,7 +66,7 @@ func run(args []string) error {
 		pocOut      = fs.String("poc", "", "write the reformed PoC to this file")
 		contextFree = fs.Bool("context-free", false, "disable context-aware taint analysis")
 		staticCFG   = fs.Bool("static-cfg", false, "disable dynamic CFG discovery")
-		static      = fs.Bool("static", false, "enable the static pre-analysis (MIR verifier, value-range branch folding, dead-block pruning, statically-unreachable short-circuit)")
+		static      = fs.Bool("static", false, "enable the static pre-analysis (isa program check with read-before-write warnings, value-range branch folding, dead-block pruning, statically-unreachable short-circuit)")
 		absintOn    = fs.Bool("absint", false, "enable abstract-interpretation value ranges as a cached phase: branch oracle for symbolic execution, shared with -static pruning")
 		hybridOn    = fs.Bool("hybrid", false, "enable the directed-fuzzing fallback: rescue theta- and budget-exhausted symex outcomes with a replay-confirmed campaign crash (verdict triggered-by-fuzzing)")
 		verbose     = fs.Bool("v", false, "print crash primitives and crash details")

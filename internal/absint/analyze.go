@@ -70,7 +70,7 @@ func Analyze(prog *isa.Program) *Result {
 
 // entryState is the sound function-entry abstraction: parameter registers
 // are ⊤ (callers pass anything), every other register is the constant 0 —
-// the VM zero-initializes frames, and the MIR verifier rejects calls whose
+// the VM zero-initializes frames, and isa's Check rejects calls whose
 // argument count disagrees with NParams.
 func entryState(f *isa.Function) *RegState {
 	st := new(RegState)

@@ -1,10 +1,13 @@
 package asm_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"octopocs/internal/asm"
+	"octopocs/internal/isa"
+	"octopocs/internal/mirstatic"
 	"octopocs/internal/vm"
 )
 
@@ -85,13 +88,25 @@ func TestFormatIncludesFunctable(t *testing.T) {
 	}
 }
 
-// FuzzParse checks the assembler never panics on arbitrary text and that
-// anything it accepts formats and re-parses to the same rendering.
+// fuzzLiveCap bounds the bytes a fuzzed program may hold allocated before
+// its next SysAlloc: a loop around a 64 MB allocation would otherwise
+// reserve gigabytes within the step budget. The run stops with
+// errFuzzLiveCap, which is not a failure.
+const fuzzLiveCap = 64 << 20
+
+var errFuzzLiveCap = errors.New("fuzzed program exceeded the live-allocation cap")
+
+// FuzzParse checks the assembler never panics on arbitrary text, that
+// anything it accepts formats and re-parses to the same rendering, and that
+// isa's Check on an accepted program is the whole contract of the later
+// stages: mirstatic.Analyze accepts it and the VM runs it without
+// panicking.
 func FuzzParse(f *testing.F) {
 	f.Add("program p\nentry main\nfunc main/0 {\ne:\n  ret r0\n}\n")
 	f.Add("program q\nfunc f/2 {\nblk:\n  r2 = add r0, r1\n  ret r2\n}\nentry f\n")
 	f.Add("garbage")
 	f.Add("program p\nfunctable -, a\n")
+	f.Add("program r\nentry main\nfunc main/0 {\ne:\n  r1 = const 16\n  r2 = sys alloc(r1)\n  r3 = load8 r2+24\n  ret r3\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := asm.Parse(src)
 		if err != nil {
@@ -105,5 +120,35 @@ func FuzzParse(f *testing.F) {
 		if asm.Format(again) != text {
 			t.Fatal("format not stable")
 		}
+		if _, err := mirstatic.Analyze(prog, nil); err != nil {
+			t.Fatalf("Analyze rejected an accepted program: %v\n%s", err, text)
+		}
+		runCapped(prog)
 	})
+}
+
+// runCapped runs prog on the VM over a short input, stopping it once it
+// holds more than fuzzLiveCap bytes at an allocation. Any other panic
+// propagates.
+func runCapped(prog *isa.Program) {
+	var m *vm.Machine
+	hooks := &vm.Hooks{OnInst: func(_ isa.Loc, _ uint64, in *isa.Inst) {
+		if in.Op != isa.OpSyscall || in.Sys != isa.SysAlloc {
+			return
+		}
+		live := 0
+		for _, r := range m.Memory().Regions() {
+			live += len(r.Data)
+		}
+		if live > fuzzLiveCap {
+			panic(errFuzzLiveCap)
+		}
+	}}
+	defer func() {
+		if r := recover(); r != nil && r != errFuzzLiveCap {
+			panic(r)
+		}
+	}()
+	m = vm.New(prog, vm.Config{Input: []byte("\x89MIR\x00\x01\xff\x10"), MaxSteps: 5000, Hooks: hooks})
+	m.Run()
 }

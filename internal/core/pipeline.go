@@ -32,10 +32,11 @@ type Config struct {
 	// StaticCFGOnly disables dynamic CFG refinement (§ IV-B discusses
 	// using the static CFG as a fallback option).
 	StaticCFGOnly bool
-	// StaticPrune enables the static pre-analysis of T before P2: the MIR
-	// verifier, branch folding with dead-block elimination from the
+	// StaticPrune enables the static pre-analysis of T before P2: T is
+	// checked by isa's Check, read-before-write reads are collected as
+	// warnings, branches are folded and dead blocks eliminated from the
 	// interval∧congruence value ranges of T (the same analysis Absint
-	// runs), and dominator computation. When the verified T provably cannot
+	// runs), and dominators are computed. When the checked T provably cannot
 	// reach ep — even with every unresolved indirect call over-approximated
 	// as may-call-anything — the pipeline short-circuits to a sound
 	// statically-unreachable verdict without running symbolic execution;

@@ -169,8 +169,9 @@ var Phases = []string{"p1", "absint", "static", "p2_prep", "reform", "hybrid", "
 type PhaseTimings struct {
 	// P1 covers preprocessing plus crash-primitive extraction (S-side).
 	P1 time.Duration
-	// Static covers the pre-P2 static analysis of T (verifier, constant
-	// folding, dominators, reachability); zero when disabled.
+	// Static covers the pre-P2 static analysis of T (isa's Check with
+	// read-before-write warnings, branch folding, dominators,
+	// reachability); zero when disabled.
 	Static time.Duration
 	// Absint covers the abstract-interpretation value-range analysis of T;
 	// zero when disabled.

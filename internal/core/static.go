@@ -56,13 +56,14 @@ func (p *Pipeline) phaseAbsint(ctx context.Context, pair *Pair) (*absint.Result,
 	return ai, hit
 }
 
-// phaseStatic produces (or retrieves) the static pre-analysis of T: the MIR
-// verifier, branch folding with dead-block elimination from the value
+// phaseStatic produces (or retrieves) the static pre-analysis of T: the
+// program check (isa's Check) with read-before-write reads collected as
+// warnings, branch folding with dead-block elimination from the value
 // ranges, dominator trees, and the may-call-anything reachability closure.
 // ai is the phaseAbsint result when that phase ran; nil makes the analysis
 // compute the ranges itself. The boolean result reports a cache hit. A
-// verifier rejection is a hard error — a malformed T cannot be verified
-// soundly by any later phase either.
+// failed check is a hard error — a malformed T cannot be verified soundly
+// by any later phase either.
 func (p *Pipeline) phaseStatic(ctx context.Context, pair *Pair, ai *absint.Result) (*mirstatic.Analysis, bool, error) {
 	return cached(ctx, p, ClassStatic, func() string { return staticKey(pair) }, nil, func() (*mirstatic.Analysis, error) {
 		if err := p.cfg.Faults.Err(faultinject.CoreStatic); err != nil {

@@ -6,6 +6,8 @@ import (
 
 	"octopocs/internal/core"
 	"octopocs/internal/corpus"
+	"octopocs/internal/isa"
+	"octopocs/internal/mirstatic"
 	"octopocs/internal/vm"
 )
 
@@ -26,6 +28,29 @@ func TestStaticSetDefined(t *testing.T) {
 		if got := corpus.ByIdx(s.Idx); got == nil || got.Idx != s.Idx {
 			t.Errorf("ByIdx(%d) = %v", s.Idx, got)
 		}
+	}
+}
+
+// TestCorpusProgramsAnalyzeClean checks that all 42 corpus programs (S and
+// T of every row) pass isa's Check inside mirstatic.Analyze with no
+// read-before-write warning.
+func TestCorpusProgramsAnalyzeClean(t *testing.T) {
+	n := 0
+	for _, s := range corpus.Rows() {
+		for _, prog := range []*isa.Program{s.Pair.S, s.Pair.T} {
+			n++
+			a, err := mirstatic.Analyze(prog, nil)
+			if err != nil {
+				t.Errorf("row %d %s: %v", s.Idx, prog.Name, err)
+				continue
+			}
+			if len(a.Warnings) != 0 {
+				t.Errorf("row %d %s: warnings %v", s.Idx, prog.Name, a.Warnings)
+			}
+		}
+	}
+	if n != 42 {
+		t.Errorf("analyzed %d corpus programs, want 42", n)
 	}
 }
 

@@ -282,6 +282,8 @@ func (p *Program) Link() error {
 					if idx, ok := p.funcIdx[in.Callee]; ok {
 						in.CalleeIdx = int32(idx)
 					}
+				default:
+					// Other opcodes name no block or function.
 				}
 			}
 		}

@@ -195,6 +195,53 @@ func TestValidateErrors(t *testing.T) {
 			},
 			wantSub: "parameter count",
 		},
+		{
+			name: "dst register out of range",
+			mutate: func(p *Program) {
+				p.Funcs[0].Blocks[0].Insts = []Inst{
+					{Op: OpConst, Dst: 250, Imm: 1},
+					{Op: OpRet, A: 0},
+				}
+			},
+			wantSub: "dst register r250",
+		},
+		{
+			name: "lhs register out of range",
+			mutate: func(p *Program) {
+				p.Funcs[0].Blocks[0].Insts = []Inst{
+					{Op: OpBin, Dst: 1, A: NumRegs, B: 0, Bin: Add},
+					{Op: OpRet, A: 0},
+				}
+			},
+			wantSub: "operand register r224",
+		},
+		{
+			name: "rhs register out of range",
+			mutate: func(p *Program) {
+				p.Funcs[0].Blocks[0].Insts = []Inst{
+					{Op: OpStore, A: 0, B: 255, Size: 8},
+					{Op: OpRet, A: 0},
+				}
+			},
+			wantSub: "operand register r255",
+		},
+		{
+			name: "ret register out of range",
+			mutate: func(p *Program) {
+				p.Funcs[0].Blocks[0].Insts = []Inst{{Op: OpRet, A: 230}}
+			},
+			wantSub: "operand register r230",
+		},
+		{
+			name: "syscall arg register out of range",
+			mutate: func(p *Program) {
+				p.Funcs[0].Blocks[0].Insts = []Inst{
+					{Op: OpSyscall, Sys: SysAlloc, Dst: 1, Args: []Reg{240}},
+					{Op: OpRet, A: 0},
+				}
+			},
+			wantSub: "argument register r240",
+		},
 	}
 
 	for _, tt := range tests {
@@ -209,6 +256,22 @@ func TestValidateErrors(t *testing.T) {
 				t.Errorf("Validate() = %q, want substring %q", err, tt.wantSub)
 			}
 		})
+	}
+}
+
+// TestCheckReadsOnly checks that Check neither links a program nor trusts
+// a linked program's block indices: it reads what Link left.
+func TestCheckReadsOnly(t *testing.T) {
+	p := retProg()
+	if err := p.Check(); !errors.Is(err, ErrNoEntry) {
+		t.Errorf("Check() on an unlinked program = %v, want ErrNoEntry", err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	p.Funcs[0].Blocks[0].Insts = []Inst{{Op: OpJmp, Then: "entry", ThenIdx: 3}}
+	if err := p.Check(); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("Check() = %v, want an out-of-range jmp target", err)
 	}
 }
 

@@ -12,15 +12,35 @@ var (
 	ErrNoTerminate = errors.New("block does not end in a terminator")
 )
 
-// Validate checks program well-formedness and links it. A valid program has
-// an existing entry function, non-empty blocks that end in exactly one
-// terminator (and contain none before the end), in-range registers and
-// widths, resolvable direct call targets, and a function table whose
-// non-empty entries name defined functions.
+// Validate links the program and checks it: Link followed by Check.
 func (p *Program) Validate() error {
 	if err := p.Link(); err != nil {
 		return err
 	}
+	return p.Check()
+}
+
+// Check reports the first well-formedness violation of a linked program,
+// or nil. A well-formed program has:
+//   - an entry function that is defined;
+//   - a function table whose non-empty entries name defined functions;
+//   - functions with a parameter count in [0, NumRegs] and at least one
+//     block;
+//   - non-empty blocks that end in exactly one terminator and contain none
+//     before the end;
+//   - every register an instruction reads or writes (Dst, A, B, Args)
+//     below NumRegs;
+//   - jump and branch targets inside the function;
+//   - direct calls to defined functions with their parameter count, and
+//     indirect calls only with a non-empty function table, passing the
+//     parameter count of every function it names;
+//   - known syscalls with their argument count;
+//   - valid binary and comparison operators, and access widths of 1, 2, 4
+//     or 8 bytes.
+//
+// Check only reads p, so it may run on a program shared by concurrent
+// readers.
+func (p *Program) Check() error {
 	if p.Entry == "" || p.Func(p.Entry) == nil {
 		return fmt.Errorf("program %s: %w (entry=%q)", p.Name, ErrNoEntry, p.Entry)
 	}
@@ -33,14 +53,14 @@ func (p *Program) Validate() error {
 		}
 	}
 	for _, f := range p.Funcs {
-		if err := p.validateFunc(f); err != nil {
+		if err := p.checkFunc(f); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (p *Program) validateFunc(f *Function) error {
+func (p *Program) checkFunc(f *Function) error {
 	if f.NParams < 0 || f.NParams > NumRegs {
 		return fmt.Errorf("%s.%s: parameter count %d out of range", p.Name, f.Name, f.NParams)
 	}
@@ -60,7 +80,7 @@ func (p *Program) validateFunc(f *Function) error {
 				}
 				return fmt.Errorf("%s.%s.%s: terminator %s in the middle of a block", p.Name, f.Name, b.Name, in.Op)
 			}
-			if err := p.validateInst(f, in); err != nil {
+			if err := p.checkInst(f, in); err != nil {
 				return fmt.Errorf("%s.%s.%s[%d]: %w", p.Name, f.Name, b.Name, i, err)
 			}
 		}
@@ -68,12 +88,32 @@ func (p *Program) validateFunc(f *Function) error {
 	return nil
 }
 
-func (p *Program) validateInst(f *Function, in *Inst) error {
+func (p *Program) checkInst(f *Function, in *Inst) error {
+	// dst, a and b record which register fields the opcode uses.
+	var dst, a, b bool
 	switch in.Op {
-	case OpConst, OpMov, OpBin, OpBinImm, OpCmp, OpCmpImm, OpLoad:
-		// dst-producing; nothing extra beyond operator checks below.
-	case OpStore, OpJmp, OpBr, OpRet, OpTrap:
+	case OpConst:
+		dst = true
+	case OpMov, OpBinImm, OpCmpImm, OpLoad:
+		dst, a = true, true
+	case OpBin, OpCmp:
+		dst, a, b = true, true, true
+	case OpStore:
+		a, b = true, true
+	case OpRet:
+		a = true
+	case OpTrap:
+	case OpJmp:
+		if !f.hasBlock(in.ThenIdx) {
+			return fmt.Errorf("jmp target %q (index %d) out of range", in.Then, in.ThenIdx)
+		}
+	case OpBr:
+		a = true
+		if !f.hasBlock(in.ThenIdx) || !f.hasBlock(in.ElseIdx) {
+			return fmt.Errorf("br targets %q, %q (indices %d, %d) out of range", in.Then, in.Else, in.ThenIdx, in.ElseIdx)
+		}
 	case OpCall:
+		dst = true
 		callee := p.Func(in.Callee)
 		if callee == nil {
 			return fmt.Errorf("call to unknown function %q", in.Callee)
@@ -82,6 +122,7 @@ func (p *Program) validateInst(f *Function, in *Inst) error {
 			return fmt.Errorf("call %s: got %d args, want %d", in.Callee, len(in.Args), callee.NParams)
 		}
 	case OpCallInd:
+		dst, a = true, true
 		if len(p.FuncTable) == 0 {
 			return errors.New("indirect call in a program with an empty function table")
 		}
@@ -94,11 +135,31 @@ func (p *Program) validateInst(f *Function, in *Inst) error {
 			}
 		}
 	case OpSyscall:
-		if err := validateSyscall(in); err != nil {
-			return err
+		dst = true
+		want, ok := sysArity[in.Sys]
+		if !ok {
+			return fmt.Errorf("unknown syscall %d", in.Sys)
+		}
+		if len(in.Args) != want {
+			return fmt.Errorf("syscall %s: got %d args, want %d", in.Sys, len(in.Args), want)
 		}
 	default:
 		return fmt.Errorf("unknown opcode %d", in.Op)
+	}
+
+	if dst && in.Dst >= NumRegs {
+		return regError("dst", in.Dst)
+	}
+	if a && in.A >= NumRegs {
+		return regError("operand", in.A)
+	}
+	if b && in.B >= NumRegs {
+		return regError("operand", in.B)
+	}
+	for _, r := range in.Args {
+		if r >= NumRegs {
+			return regError("argument", r)
+		}
 	}
 
 	switch in.Op {
@@ -116,8 +177,19 @@ func (p *Program) validateInst(f *Function, in *Inst) error {
 		default:
 			return fmt.Errorf("invalid access width %d", in.Size)
 		}
+	default:
+		// Other opcodes carry no operator or width field to check.
 	}
 	return nil
+}
+
+// hasBlock reports whether idx indexes one of f's blocks.
+func (f *Function) hasBlock(idx int) bool {
+	return idx >= 0 && idx < len(f.Blocks)
+}
+
+func regError(what string, r Reg) error {
+	return fmt.Errorf("%s register r%d out of range (file has %d registers)", what, r, NumRegs)
 }
 
 var sysArity = map[Sys]int{
@@ -133,15 +205,4 @@ var sysArity = map[Sys]int{
 	SysExit:    1,
 	SysArgRead: 2,
 	SysArgLen:  0,
-}
-
-func validateSyscall(in *Inst) error {
-	want, ok := sysArity[in.Sys]
-	if !ok {
-		return fmt.Errorf("unknown syscall %d", in.Sys)
-	}
-	if len(in.Args) != want {
-		return fmt.Errorf("syscall %s: got %d args, want %d", in.Sys, len(in.Args), want)
-	}
-	return nil
 }

@@ -8,9 +8,9 @@ import (
 // opClassScope names the interpreter-shaped packages whose ISA switches
 // OpClass audits: the ones that give every opcode a meaning (the concrete
 // VM, the symbolic executor), a transfer function (abstract interpretation,
-// the one source of static branch folds), or a check (the MIR verifier and
-// call-graph reachability of mirstatic).
-var opClassScope = []string{"internal/absint", "internal/mirstatic", "internal/vm", "internal/symex"}
+// the one source of static branch folds), or a check (isa's Link and Check,
+// and mirstatic's read-before-write warnings and call-graph reachability).
+var opClassScope = []string{"internal/absint", "internal/isa", "internal/mirstatic", "internal/vm", "internal/symex"}
 
 // opClassFamily is one closed constant family: its members, the package
 // that declares them (matched by package name in a selector `pkg.Name`, and

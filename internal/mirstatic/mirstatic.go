@@ -1,8 +1,9 @@
 // Package mirstatic is the static pre-analysis layer that runs before P2:
-// it verifies MIR well-formedness, folds the branches and eliminates the
-// dead blocks that the interval∧congruence value ranges of internal/absint
-// prove, computes dominator/post-dominator trees, and over-approximates
-// interprocedural reachability so the pipeline can emit a sound
+// it checks T with isa's Check, collects read-before-write register reads
+// as warnings, folds the branches and eliminates the dead blocks that the
+// interval∧congruence value ranges of internal/absint prove, computes
+// dominator/post-dominator trees, and over-approximates interprocedural
+// reachability so the pipeline can emit a sound
 // "statically-unreachable" verdict without spending any P2 symbolic
 // execution, and so the P2 distance maps and frontier never route through
 // provably dead regions. Everything here is a conservative over-
@@ -66,8 +67,8 @@ type Summary struct {
 type Analysis struct {
 	Prog  *isa.Program
 	Funcs map[string]*FuncFacts
-	// Warnings are the non-fatal verifier diagnostics (possibly-undefined
-	// register reads). Fatal diagnostics make Analyze return an error.
+	// Warnings are the register reads that may happen before any write.
+	// They are legal (such reads yield 0), so they never fail Analyze.
 	Warnings []Diagnostic
 	// Reachable is the over-approximated set of functions reachable from
 	// the program entry through live blocks, with unresolved indirect-call
@@ -76,20 +77,20 @@ type Analysis struct {
 	Summary   Summary
 }
 
-// Analyze verifies prog and computes the full static analysis. It returns an
-// error carrying the verifier diagnostics when the program is malformed;
-// warnings are collected on the Analysis instead. ranges is the
+// Analyze checks prog (isa.Program.Check) and computes the full static
+// analysis. It returns an error naming the program malformed when the check
+// fails; read-before-write warnings are collected on the Analysis instead.
+// prog must already be linked: Analyze only reads it. ranges is the
 // interval∧congruence analysis of prog (the pipeline's cached ai: artifact,
 // say) and the only source of the liveness and folded-branch facts; nil
 // makes Analyze run absint.Analyze(prog) itself.
 func Analyze(prog *isa.Program, ranges *absint.Result) (*Analysis, error) {
-	diags := Verify(prog)
+	if err := prog.Check(); err != nil {
+		return nil, fmt.Errorf("mirstatic: program %s is malformed: %w", prog.Name, err)
+	}
 	var warns []Diagnostic
-	for _, d := range diags {
-		if d.Sev == SevError {
-			return nil, &VerifyError{Prog: prog.Name, Diags: diags}
-		}
-		warns = append(warns, d)
+	for _, f := range prog.Funcs {
+		warns = append(warns, verifyDefiniteAssignment(f)...)
 	}
 	a := &Analysis{
 		Prog:      prog,

@@ -237,50 +237,48 @@ func TestLoopPostDominators(t *testing.T) {
 	}
 }
 
-// TestVerifierRejectsMalformed checks that structural errors surface as a
-// complete diagnostic list and make Analyze fail fast.
-func TestVerifierRejectsMalformed(t *testing.T) {
-	callee := &isa.Function{
-		Name:    "cal",
-		NParams: 2,
-		Blocks:  []*isa.Block{{Name: "b0", Insts: []isa.Inst{{Op: isa.OpRet, A: 0}}}},
+// TestAnalyzeRejectsMalformed checks that Analyze runs isa's Check on a
+// linked program: each structural error, in a program of its own, makes it
+// fail fast with a "malformed" error naming the fault.
+func TestAnalyzeRejectsMalformed(t *testing.T) {
+	tests := []struct {
+		name    string
+		bad     isa.Inst
+		wantSub string
+	}{
+		{"register out of range", isa.Inst{Op: isa.OpConst, Dst: 250, Imm: 1}, "dst register r250"},
+		{"call arity", isa.Inst{Op: isa.OpCall, Callee: "cal"}, "got 0 args, want 2"},
+		{"unknown callee", isa.Inst{Op: isa.OpCall, Callee: "nope"}, "unknown function"},
+		{"access width", isa.Inst{Op: isa.OpLoad, Dst: 1, A: 2, Size: 3}, "access width 3"},
+		{"syscall arity", isa.Inst{Op: isa.OpSyscall, Sys: isa.SysRead}, "syscall read"},
 	}
-	fn := &isa.Function{
-		Name:    "f",
-		NParams: 0,
-		Blocks: []*isa.Block{
-			{Name: "b0", Insts: []isa.Inst{
-				{Op: isa.OpConst, Dst: 250, Imm: 1},              // register out of range
-				{Op: isa.OpCall, Callee: "cal", Args: nil},       // arity mismatch
-				{Op: isa.OpCall, Callee: "nope"},                 // unknown callee... arity irrelevant
-				{Op: isa.OpLoad, Dst: 1, A: 2, Size: 3},          // bad width
-				{Op: isa.OpSyscall, Sys: isa.SysRead, Args: nil}, // syscall arity
-				{Op: isa.OpRet, A: 0},
-			}},
-		},
-	}
-	prog := &isa.Program{Name: "bad", Entry: "f", Funcs: []*isa.Function{fn, callee}}
-	if err := prog.Link(); err != nil {
-		t.Fatalf("Link: %v", err)
-	}
-	ds := mirstatic.Verify(prog)
-	errs := 0
-	for _, d := range ds {
-		if d.Sev == mirstatic.SevError {
-			errs++
-		}
-	}
-	if errs < 5 {
-		t.Errorf("want >= 5 errors, got %d: %v", errs, ds)
-	}
-	if _, err := mirstatic.Analyze(prog, nil); err == nil {
-		t.Fatal("Analyze accepted a malformed program")
-	} else if !strings.Contains(err.Error(), "malformed") {
-		t.Errorf("unexpected error text: %v", err)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			callee := &isa.Function{
+				Name:    "cal",
+				NParams: 2,
+				Blocks:  []*isa.Block{{Name: "b0", Insts: []isa.Inst{{Op: isa.OpRet, A: 0}}}},
+			}
+			fn := &isa.Function{
+				Name:   "f",
+				Blocks: []*isa.Block{{Name: "b0", Insts: []isa.Inst{tt.bad, {Op: isa.OpRet, A: 0}}}},
+			}
+			prog := &isa.Program{Name: "bad", Entry: "f", Funcs: []*isa.Function{fn, callee}}
+			if err := prog.Link(); err != nil {
+				t.Fatalf("Link: %v", err)
+			}
+			_, err := mirstatic.Analyze(prog, nil)
+			if err == nil {
+				t.Fatal("Analyze accepted a malformed program")
+			}
+			if !strings.Contains(err.Error(), "malformed") || !strings.Contains(err.Error(), tt.wantSub) {
+				t.Errorf("Analyze error = %q, want \"malformed\" and %q", err, tt.wantSub)
+			}
+		})
 	}
 }
 
-// TestVerifierWarnsOnPossiblyUndefinedRead checks the SevWarn channel: the
+// TestVerifierWarnsOnPossiblyUndefinedRead checks the warning channel: the
 // VM defines unwritten registers as zero, so the read is legal, Analyze
 // succeeds, and the finding lands in Warnings.
 func TestVerifierWarnsOnPossiblyUndefinedRead(t *testing.T) {
@@ -305,7 +303,7 @@ func TestVerifierWarnsOnPossiblyUndefinedRead(t *testing.T) {
 	if len(a.Warnings) == 0 {
 		t.Fatal("want a read-before-write warning")
 	}
-	if a.Warnings[0].Sev != mirstatic.SevWarn || !strings.Contains(a.Warnings[0].Msg, "r7") {
+	if !strings.Contains(a.Warnings[0].Msg, "r7") {
 		t.Errorf("unexpected warning: %v", a.Warnings[0])
 	}
 	// Params are defined on entry: reading r0 must not warn.

@@ -45,9 +45,10 @@ type SubmitRequest struct {
 	// (18-21).
 	CorpusIdx int `json:"corpus_idx,omitempty"`
 	// Static overrides the service-wide static-prune setting for this job:
-	// true forces the pre-P2 static analysis (verifier, value-range branch
-	// folding, dead-block pruning, statically-unreachable short-circuit),
-	// false forces it off, absent inherits the pipeline configuration.
+	// true forces the pre-P2 static analysis (isa's Check with
+	// read-before-write warnings, value-range branch folding, dead-block
+	// pruning, statically-unreachable short-circuit), false forces it off,
+	// absent inherits the pipeline configuration.
 	Static *bool `json:"static,omitempty"`
 }
 

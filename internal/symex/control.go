@@ -16,12 +16,13 @@ func (e *Executor) enterBlock(st *State, fr *Frame, block int) {
 }
 
 // branch resolves an OpBr. Concrete conditions follow their value. Symbolic
-// conditions are resolved by the directed policy: order the successors by
-// backward-path distance (then by loop-escape preference), take the first
-// feasible one, and record the corresponding constraint. When neither
-// direction is feasible the state dies: loop-dead inside a revisited block,
-// program-dead otherwise (paper § III-B states).
-func (e *Executor) branch(st *State, fr *Frame, in *isa.Inst, directed bool) error {
+// conditions are resolved by the directed policy when the executor is
+// directed (e.emit set): order the successors by backward-path distance
+// (then by loop-escape preference), take the first feasible one, and record
+// the corresponding constraint. When neither direction is feasible the
+// state dies: loop-dead inside a revisited block, program-dead otherwise
+// (paper § III-B states).
+func (e *Executor) branch(st *State, fr *Frame, in *isa.Inst) error {
 	cond := reg(fr, in.A)
 	if v, ok := cond.IsConst(); ok {
 		if v != 0 {
@@ -32,6 +33,7 @@ func (e *Executor) branch(st *State, fr *Frame, in *isa.Inst, directed bool) err
 		return nil
 	}
 
+	directed := e.emit != nil
 	opts := arms(cond, in)
 	if directed && e.preferElse(st, fr, in) {
 		opts[0], opts[1] = opts[1], opts[0]
@@ -211,10 +213,12 @@ func (e *Executor) call(st *State, fr *Frame, in *isa.Inst, callee *isa.Function
 	return false, nil
 }
 
-// callIndirect resolves an indirect call. A symbolic index is directed: the
-// executor picks, among feasible table slots, the target that minimizes the
-// callgraph distance to the objective, and pins the index.
-func (e *Executor) callIndirect(st *State, fr *Frame, in *isa.Inst, visitor Visitor, directed bool) (bool, error) {
+// callIndirect resolves an indirect call. A symbolic index is directed when
+// the executor is (e.emit set): the executor picks, among feasible table
+// slots, the target that minimizes the callgraph distance to the objective,
+// and pins the index.
+func (e *Executor) callIndirect(st *State, fr *Frame, in *isa.Inst, visitor Visitor) (bool, error) {
+	directed := e.emit != nil
 	idx := reg(fr, in.A)
 	table := e.prog.FuncTable
 

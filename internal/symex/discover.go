@@ -48,8 +48,7 @@ func Discover(prog *isa.Program, cfg NaiveConfig) ([]IndirectEdge, error) {
 			edges = append(edges, e)
 		}
 	}
-	res, err := runNaive(prog, cfg, collector)
-	_ = res
+	_, err := runNaive(prog, cfg, collector)
 	if err != nil && !errors.Is(err, ErrMemBudget) {
 		if faultinject.IsTransient(err) {
 			return edges, err

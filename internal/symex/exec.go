@@ -249,7 +249,9 @@ type Executor struct {
 	// emit receives a directed decision's untried alternatives, with the
 	// program counter still at the deciding instruction so that resuming
 	// re-executes it under the alternative's constraint. Set per worker by
-	// the frontier engine, which pushes them into its shared heap.
+	// the frontier engine, which pushes them into its shared heap. An
+	// executor is directed exactly when emit is set: naive exploration
+	// leaves it nil.
 	emit func(st *State, alts []*expr.Expr, dists []int64)
 	// onResolve observes indirect-call resolutions (dynamic CFG discovery).
 	onResolve func(site isa.Loc, callee string)
@@ -416,9 +418,9 @@ func entryState(prog *isa.Program) *State {
 	return st
 }
 
-// step executes one instruction of st. directed selects the branch policy.
-// The boolean result is true when the visitor stopped the run.
-func (e *Executor) step(st *State, visitor Visitor, directed bool) (bool, error) {
+// step executes one instruction of st. The boolean result is true when the
+// visitor stopped the run.
+func (e *Executor) step(st *State, visitor Visitor) (bool, error) {
 	st.steps++
 	fr := st.top()
 	in := &fr.fn.Blocks[fr.block].Insts[fr.inst]
@@ -475,7 +477,7 @@ func (e *Executor) step(st *State, visitor Visitor, directed bool) (bool, error)
 		e.enterBlock(st, fr, in.ThenIdx)
 		advance = false
 	case isa.OpBr:
-		if err := e.branch(st, fr, in, directed); err != nil {
+		if err := e.branch(st, fr, in); err != nil {
 			return false, err
 		}
 		advance = false
@@ -486,7 +488,7 @@ func (e *Executor) step(st *State, visitor Visitor, directed bool) (bool, error)
 		}
 		advance = false
 	case isa.OpCallInd:
-		stop, err := e.callIndirect(st, fr, in, visitor, directed)
+		stop, err := e.callIndirect(st, fr, in, visitor)
 		if err != nil || stop {
 			return stop, err
 		}

@@ -357,7 +357,7 @@ func (w *fWorker) run(st *State) {
 			st.die(KindHung, fmt.Sprintf("step budget exhausted at %s", st.loc()))
 			break
 		}
-		stop, err := e.step(st, f.visitor, true)
+		stop, err := e.step(st, f.visitor)
 		if err != nil {
 			f.fail(err)
 			return

@@ -2,7 +2,6 @@ package symex
 
 import (
 	"errors"
-	"fmt"
 
 	"octopocs/internal/cfg"
 	"octopocs/internal/expr"
@@ -20,16 +19,14 @@ var ErrMemBudget = errors.New("symex: naive exploration exceeded memory budget")
 // bytes.
 const DefaultMemBudget = 64 << 20
 
-// NaiveConfig parameterizes naive (undirected) exploration.
+// NaiveConfig parameterizes naive (undirected) exploration. Naive runs
+// bound per-frame block revisits by DefaultTheta, or the frontier would
+// grow unboundedly inside a single loop, and give each feasibility check
+// the solver's default budget.
 type NaiveConfig struct {
 	// InputSize, MaxSteps as in Config.
 	InputSize int
 	MaxSteps  int64
-	// Theta still bounds per-frame block revisits per state, or the
-	// frontier would grow unboundedly inside a single loop.
-	Theta int
-	// SatBudget per feasibility check.
-	SatBudget int64
 	// Target is the function to reach.
 	Target string
 	// MemBudget bounds the estimated retained bytes of the frontier.
@@ -79,9 +76,6 @@ func runNaive(prog *isa.Program, cfg NaiveConfig, onResolve func(isa.Loc, string
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
-	if cfg.Theta <= 0 {
-		cfg.Theta = DefaultTheta
-	}
 	if cfg.MemBudget <= 0 {
 		cfg.MemBudget = DefaultMemBudget
 	}
@@ -91,8 +85,6 @@ func runNaive(prog *isa.Program, cfg NaiveConfig, onResolve func(isa.Loc, string
 	e := New(prog, Config{
 		InputSize:   cfg.InputSize,
 		MaxSteps:    cfg.MaxSteps,
-		Theta:       cfg.Theta,
-		SatBudget:   cfg.SatBudget,
 		Target:      cfg.Target,
 		Stop:        cfg.Stop,
 		Metrics:     cfg.Metrics,
@@ -205,7 +197,7 @@ func runNaive(prog *isa.Program, cfg NaiveConfig, onResolve func(isa.Loc, string
 				}
 				break // this state was consumed by the fork
 			}
-			stop, err := e.step(st, stopVisitor, false)
+			stop, err := e.step(st, stopVisitor)
 			if err != nil {
 				return nil, err
 			}
@@ -279,9 +271,4 @@ func (e *Executor) forkIndirect(st *State, fr *Frame, in *isa.Inst) ([]*State, e
 		out = append(out, ns)
 	}
 	return out, nil
-}
-
-// String renders naive failure context in errors.
-func (c NaiveConfig) String() string {
-	return fmt.Sprintf("naive{target=%s mem=%d}", c.Target, c.MemBudget)
 }
