@@ -269,6 +269,77 @@ func TestTornWriteDroppedOnReopen(t *testing.T) {
 	}
 }
 
+// TestPutHeldKeyWritesNothing re-puts a key the disk tier holds, in the
+// same process and after a reopen: neither writes, the entry's bytes stay
+// as first written, and a disk read still serves it.
+func TestPutHeldKeyWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, nil)
+	s.Put("jr:k", []byte("payload"))
+	files := artFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("entry files = %v, want 1", files)
+	}
+	before, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("jr:k", []byte("payload"))
+	if c := s.Counters(); c.Writes != 1 || c.DiskEntries != 1 {
+		t.Fatalf("re-put of a held key wrote: %+v", c)
+	}
+	s.Close()
+
+	s2 := open(t, dir, func(o *Options) { o.HotEntries = -1 })
+	s2.Put("jr:k", []byte("payload"))
+	if c := s2.Counters(); c.Writes != 0 || c.DiskEntries != 1 {
+		t.Fatalf("re-put after reopen wrote: %+v", c)
+	}
+	after, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("re-put changed the entry's bytes")
+	}
+	if v, ok := s2.Get("jr:k"); !ok || string(v.([]byte)) != "payload" {
+		t.Fatalf("held entry not servable: %v, %v", v, ok)
+	}
+	if c := s2.Counters(); c.DiskHits != 1 {
+		t.Fatalf("held entry not read from disk: %+v", c)
+	}
+}
+
+// TestTornEntryRewrittenAfterDrop tears the first write of a key: Put does
+// not rewrite the held (torn) entry, the first disk read drops it, and the
+// next Put writes it again, whole.
+func TestTornEntryRewrittenAfterDrop(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, func(o *Options) {
+		o.Faults = injector(t, "artifact.torn_write:nth=1")
+		o.HotEntries = -1 // serve every Get from disk
+	})
+	payload := []byte("half of this payload will be missing")
+	s.Put("jr:torn", payload)
+	s.Put("jr:torn", payload)
+	if c := s.Counters(); c.Writes != 1 {
+		t.Fatalf("held torn entry rewritten before it was read: %+v", c)
+	}
+	if _, ok := s.Get("jr:torn"); ok {
+		t.Fatal("torn entry served")
+	}
+	if c := s.Counters(); c.CorruptDropped != 1 || c.DiskEntries != 0 {
+		t.Fatalf("torn entry not dropped on read: %+v", c)
+	}
+	s.Put("jr:torn", payload)
+	if c := s.Counters(); c.Writes != 2 || c.DiskEntries != 1 {
+		t.Fatalf("dropped entry not rewritten: %+v", c)
+	}
+	if v, ok := s.Get("jr:torn"); !ok || string(v.([]byte)) != string(payload) {
+		t.Fatalf("rewritten entry = %q, %v", v, ok)
+	}
+}
+
 func TestInjectedChecksumMismatchDegradesToMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, nil)

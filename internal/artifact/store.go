@@ -192,9 +192,12 @@ func (s *Store) Get(key string) (any, bool) {
 }
 
 // Put stores an artifact under key in the hot tier and, when the key's
-// class has a codec, persists it to disk. Encode or write failures keep the
-// hot copy and mark the store saturated; they never surface to the caller
-// because a lost persist only costs a future recompute.
+// class has a codec, persists it to disk. A key the disk tier already
+// holds is never rewritten: every class's key is a content address of its
+// value, so the entry already holds these bytes, and Put only refreshes
+// its recency. Encode or write failures keep the hot copy and mark the
+// store saturated; they never surface to the caller because a lost
+// persist only costs a future recompute.
 func (s *Store) Put(key string, v any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -208,18 +211,23 @@ func (s *Store) Put(key string, v any) {
 	if codec == nil {
 		return
 	}
+	vkey := s.versionedKey(key)
+	if e := s.disk[vkey]; e != nil {
+		s.touchLocked(e)
+		return
+	}
 	payload, err := codec.Encode(v)
 	if err != nil {
 		s.log.Warn("artifact: encode failed, entry stays memory-only", "key", key, "err", err)
 		s.ctr.WriteErrors++
 		return
 	}
-	s.writeLocked(key, payload)
+	s.writeLocked(key, vkey, payload)
 }
 
-// writeLocked persists one encoded payload and settles budget accounting.
-func (s *Store) writeLocked(key string, payload []byte) {
-	vkey := s.versionedKey(key)
+// writeLocked persists one encoded payload under a key the disk tier does
+// not hold and settles budget accounting.
+func (s *Store) writeLocked(key, vkey string, payload []byte) {
 	if int64(len(payload))+entryOverhead(vkey) > s.budget {
 		s.ctr.WriteSkips++
 		return
@@ -239,10 +247,6 @@ func (s *Store) writeLocked(key string, payload []byte) {
 	}
 	if torn {
 		s.log.Warn("artifact: injected torn write, entry is corrupt on disk", "key", key)
-	}
-	if old := s.disk[vkey]; old != nil {
-		s.bytes -= old.size
-		s.lru.Remove(old.elem)
 	}
 	e := &diskEntry{vkey: vkey, path: path, size: size}
 	e.elem = s.lru.PushFront(e)

@@ -89,9 +89,9 @@ func TestFormatIncludesFunctable(t *testing.T) {
 }
 
 // fuzzLiveCap bounds the bytes a fuzzed program may hold allocated before
-// its next SysAlloc: a loop around a 64 MB allocation would otherwise
-// reserve gigabytes within the step budget. The run stops with
-// errFuzzLiveCap, which is not a failure.
+// its next SysAlloc: the VM lets one run reserve up to 256 MB, too much to
+// hold in every parallel fuzz worker. The run stops with errFuzzLiveCap,
+// which is not a failure.
 const fuzzLiveCap = 64 << 20
 
 var errFuzzLiveCap = errors.New("fuzzed program exceeded the live-allocation cap")

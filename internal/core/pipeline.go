@@ -558,12 +558,16 @@ func (p *Pipeline) phase2Prep(ctx context.Context, pair *Pair, ep string, sa *mi
 }
 
 // minimize shortens a verified poc' from the tail while the crash at the
-// same location survives, first by halving and then byte by byte. A
-// cancelled run fails the crash check, so cancellation simply stops the
-// shrinking early with the best candidate so far.
+// same location survives, first by halving and then byte by byte. Every
+// candidate runs on one machine, reset in between: only the crash location
+// is read, and the Crash outlives a Reset. A cancelled run fails the crash
+// check, so cancellation simply stops the shrinking early with the best
+// candidate so far.
 func (p *Pipeline) minimize(ctx context.Context, pair *Pair, poc []byte, want *vm.Crash) []byte {
+	m := p.newConcrete(ctx, pair.T, nil, pair.MaxSteps)
 	stillCrashes := func(candidate []byte) bool {
-		out := p.runConcrete(ctx, pair.T, candidate, pair.MaxSteps)
+		m.Reset(candidate)
+		out := m.Run()
 		return out.Crashed() && out.Crash.Loc == want.Loc
 	}
 	best := poc
@@ -606,13 +610,18 @@ func (p *Pipeline) symInputSize(pair *Pair) int {
 }
 
 func (p *Pipeline) runConcrete(ctx context.Context, prog *isa.Program, input []byte, maxSteps int64) *vm.Outcome {
-	m := vm.New(prog, vm.Config{
+	return p.newConcrete(ctx, prog, input, maxSteps).Run()
+}
+
+// newConcrete returns a machine over input with the pipeline's step budget,
+// cancellation and metrics.
+func (p *Pipeline) newConcrete(ctx context.Context, prog *isa.Program, input []byte, maxSteps int64) *vm.Machine {
+	return vm.New(prog, vm.Config{
 		Input:    input,
 		MaxSteps: p.effectiveMaxSteps(maxSteps),
 		Stop:     ctx.Done(),
 		Metrics:  p.cfg.Metrics.vmSink(),
 	})
-	return m.Run()
 }
 
 // journalSymexDone records the committed exploration outcome — kind, why

@@ -19,9 +19,9 @@ type RenderOptions struct {
 
 // Render formats a journal as an indented human-readable narrative:
 // events grouped under phase headers, attributes sorted by key, with the
-// terminal verdict (or error) on an unindented closing line. Timestamps,
-// seqs and evidence links are never rendered, so a journal decoded from
-// its JSONL artifact renders byte-identically to the live Recorder's.
+// terminal verdict (or error) on an unindented closing line. Seqs and
+// evidence links are never rendered, so a journal decoded from its JSONL
+// artifact renders byte-identically to the live Recorder's.
 func Render(events []Event, o RenderOptions) string {
 	var b strings.Builder
 	phase := ""

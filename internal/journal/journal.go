@@ -31,7 +31,6 @@ package journal
 import (
 	"context"
 	"sync"
-	"time"
 )
 
 // DefaultCapacity bounds a Recorder's retained events when Options.Capacity
@@ -59,12 +58,13 @@ type Attrs = map[string]any
 
 // Event is one journal entry. Seq is unique and strictly increasing per
 // Recorder (dropped events consume seqs too, so gaps witness drops).
-// TUS is the wall-clock unix-microsecond stamp; renderings omit it so
-// replays compare byte-identical. Det mirrors the schema's classification
-// at emission time, making persisted journals self-describing.
+// Det mirrors the schema's classification at emission time, making
+// persisted journals self-describing. An event carries no wall-clock
+// stamp: a job's times live in its status, so identical runs encode to
+// identical JSONL and share one content-addressed Key. Journals written
+// with the former "tus" field still decode; the field is ignored.
 type Event struct {
 	Seq   uint64 `json:"seq"`
-	TUS   int64  `json:"tus"`
 	Type  Type   `json:"type"`
 	Det   bool   `json:"det"`
 	Attrs Attrs  `json:"attrs,omitempty"`
@@ -152,7 +152,6 @@ func (r *Recorder) EmitFinal(t Type, attrs Attrs) uint64 {
 }
 
 func (r *Recorder) append(t Type, det bool, attrs Attrs, final bool) uint64 {
-	now := time.Now().UnixMicro()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -171,7 +170,7 @@ func (r *Recorder) append(t Type, det bool, attrs Attrs, final bool) uint64 {
 		r.dropped++
 		return r.seq
 	}
-	r.events = append(r.events, Event{Seq: r.seq, TUS: now, Type: t, Det: det, Attrs: attrs})
+	r.events = append(r.events, Event{Seq: r.seq, Type: t, Det: det, Attrs: attrs})
 	r.wake()
 	return r.seq
 }

@@ -261,10 +261,37 @@ func TestKeyIsContentAddressed(t *testing.T) {
 	}
 }
 
+// TestKeyReproducible records the same events twice, apart in time: the
+// encoded journals, and so their keys, must be identical.
+func TestKeyReproducible(t *testing.T) {
+	record := func() []byte {
+		r := New("job", Options{})
+		r.Emit(EvJobStart, Attrs{"pair": "demo"})
+		r.Emit(EvP1Done, Attrs{"bunches": 2, "cached": true})
+		r.EmitFinal(EvVerdict, Attrs{"verdict": "triggered", "type": "Type-I"})
+		data, err := MarshalJSONL(r.Events())
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		return data
+	}
+	a := record()
+	time.Sleep(2 * time.Millisecond)
+	b := record()
+	if string(a) != string(b) || Key(a) != Key(b) {
+		t.Fatalf("identical runs encode differently:\n%s\n%s", a, b)
+	}
+}
+
 func TestDecodeJSONLTolerant(t *testing.T) {
 	evs, err := DecodeJSONL([]byte("\n\n{\"seq\":1,\"type\":\"p1.done\"}\n\n"))
 	if err != nil || len(evs) != 1 || evs[0].Type != EvP1Done {
 		t.Fatalf("evs=%+v err=%v", evs, err)
+	}
+	// Journals persisted with the former wall-clock "tus" field decode.
+	evs, err = DecodeJSONL([]byte(`{"seq":1,"tus":1700000000000000,"type":"p1.done","det":true}` + "\n"))
+	if err != nil || len(evs) != 1 || evs[0].Seq != 1 || !evs[0].Det {
+		t.Fatalf("legacy line: evs=%+v err=%v", evs, err)
 	}
 	if _, err := DecodeJSONL([]byte("{not json}")); err == nil {
 		t.Fatalf("malformed line accepted")

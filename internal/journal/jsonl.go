@@ -65,7 +65,9 @@ func DecodeJSONL(data []byte) ([]Event, error) {
 const KeyClass = "jr"
 
 // Key returns the content-addressed artifact-store key for an encoded
-// journal: KeyClass + ":" + SHA-256 of the JSONL bytes.
+// journal: KeyClass + ":" + SHA-256 of the JSONL bytes. Events carry no
+// run-dependent data, so two runs that record the same events get the
+// same Key, and the store keeps one entry for both.
 func Key(data []byte) string {
 	sum := sha256.Sum256(data)
 	return fmt.Sprintf("%s:%x", KeyClass, sum)

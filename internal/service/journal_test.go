@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,6 +175,68 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 	if r, _ := http.Get(ts.URL + "/v1/jobs/" + job.ID() + "/events?after=x"); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad cursor: status %d", r.StatusCode)
+	}
+}
+
+// TestWarmReverificationsShareJournal re-verifies one row three times on a
+// warm persistent store: the three runs record the same events, so they
+// share one content-addressed journal key and one jr disk entry, and their
+// events endpoints serve equal events. Any run-dependent datum (a stamp, a
+// duration) in a persisted event would give each run its own key and fail
+// this test.
+func TestWarmReverificationsShareJournal(t *testing.T) {
+	st := openStores(t, t.TempDir(), nil)
+	defer st.Close()
+	svc := service.New(service.Config{Workers: 2, Stores: st})
+	defer svc.Shutdown(context.Background())
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	pair := corpus.ByIdx(7).Pair
+	verify := func() *service.Job {
+		t.Helper()
+		job, err := svc.Submit(pair)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	verify() // cold: P1 and P2 miss, so its journal differs from the warm ones
+	cold := st.Counters()[journal.KeyClass]
+
+	var key string
+	var first []journal.Event
+	for i := 0; i < 3; i++ {
+		job := verify()
+		jk := job.Snapshot().JournalKey
+		if i == 0 {
+			key = jk
+		} else if jk != key {
+			t.Fatalf("warm run %d journal key %s, first warm run %s", i+1, jk, key)
+		}
+		r, err := http.Get(ts.URL + "/v1/jobs/" + job.ID() + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var page service.EventsResponse
+		err = json.NewDecoder(r.Body).Decode(&page)
+		r.Body.Close()
+		if err != nil || r.StatusCode != http.StatusOK || len(page.Events) == 0 {
+			t.Fatalf("warm run %d events: status %d, %d events, err %v", i+1, r.StatusCode, len(page.Events), err)
+		}
+		if i == 0 {
+			first = page.Events
+		} else if !reflect.DeepEqual(page.Events, first) {
+			t.Errorf("warm run %d events differ from the first warm run's\n got %+v\nwant %+v", i+1, page.Events, first)
+		}
+	}
+	warm := st.Counters()[journal.KeyClass]
+	if warm.Writes != cold.Writes+1 || warm.DiskEntries != cold.DiskEntries+1 {
+		t.Errorf("three warm runs: jr writes %d → %d, disk entries %d → %d; want one each",
+			cold.Writes, warm.Writes, cold.DiskEntries, warm.DiskEntries)
 	}
 }
 

@@ -84,13 +84,17 @@ func (r *region) clone() *region {
 type Mem struct {
 	regions []*region
 	next    uint64
+	// reserved counts the bytes allocated on this path, freed ones
+	// included, as the concrete machine counts them.
+	reserved uint64
 }
 
 const (
-	nullGuard = 0x1000
-	heapBase  = 0x10000
-	regionGap = 64
-	maxAlloc  = 1 << 26
+	nullGuard   = 0x1000
+	heapBase    = 0x10000
+	regionGap   = 64
+	maxAlloc    = 1 << 26
+	maxReserved = 4 * maxAlloc
 )
 
 // newMem returns an empty symbolic address space.
@@ -99,7 +103,7 @@ func newMem() *Mem {
 }
 
 func (m *Mem) clone() *Mem {
-	nm := &Mem{next: m.next, regions: make([]*region, len(m.regions))}
+	nm := &Mem{next: m.next, reserved: m.reserved, regions: make([]*region, len(m.regions))}
 	for i, r := range m.regions {
 		nm.regions[i] = r.clone()
 	}
@@ -116,6 +120,9 @@ func (m *Mem) footprint() int64 {
 	return total
 }
 
+// alloc reserves n bytes and returns the base address, or 0 when the
+// concrete machine's Alloc would refuse the request: larger than maxAlloc,
+// or past maxReserved in total.
 func (m *Mem) alloc(n uint64) uint64 {
 	if n > maxAlloc {
 		return 0
@@ -123,6 +130,10 @@ func (m *Mem) alloc(n uint64) uint64 {
 	if n == 0 {
 		n = 1
 	}
+	if m.reserved+n > maxReserved {
+		return 0
+	}
+	m.reserved += n
 	r := &region{base: m.next, size: n, data: make(map[uint64]*expr.Expr)}
 	m.regions = append(m.regions, r)
 	m.next += (n + regionGap + 15) &^ 15
@@ -252,9 +263,13 @@ func (m *Mem) free(base uint64) *fault {
 	return nil
 }
 
-// mapSymbolicFile creates a read-only region whose byte i is in[i].
+// mapSymbolicFile creates a read-only region whose byte i is in[i] and
+// returns its base, or 0 when alloc refuses the size.
 func (m *Mem) mapSymbolicFile(size int) uint64 {
 	base := m.alloc(uint64(size))
+	if base == 0 {
+		return 0
+	}
 	r := m.regions[len(m.regions)-1]
 	r.readOnly = true
 	for i := 0; i < size; i++ {

@@ -83,6 +83,30 @@ func TestSymMemFaults(t *testing.T) {
 	}
 }
 
+// TestSymMemReservedCap mirrors vm's TestMemoryReservedCap: freed regions
+// count, a clone inherits the reservation, and past the cap both alloc and
+// mapSymbolicFile return 0 without adding a region.
+func TestSymMemReservedCap(t *testing.T) {
+	m := newMem()
+	if f := m.free(m.alloc(16)); f != nil {
+		t.Fatalf("free: %v", f)
+	}
+	m.reserved = maxReserved - 8
+	c := m.clone()
+	if c.alloc(8) == 0 {
+		t.Fatal("allocation within the cap refused")
+	}
+	if got := c.alloc(0); got != 0 {
+		t.Fatalf("allocation past the cap = %#x, want 0", got)
+	}
+	if got := c.mapSymbolicFile(1); got != 0 || len(c.regions) != 2 {
+		t.Fatalf("map past the cap = %#x with %d regions, want 0 with 2", got, len(c.regions))
+	}
+	if m.alloc(8) == 0 || m.alloc(1) != 0 {
+		t.Fatal("clone's allocations leaked into the original's reservation")
+	}
+}
+
 func TestIsByteSized(t *testing.T) {
 	tests := []struct {
 		e    *expr.Expr

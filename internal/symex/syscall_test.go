@@ -95,3 +95,29 @@ func TestSymbolicArgChannel(t *testing.T) {
 		t.Errorf("solved prefix = %q, want -Xz", in[:3])
 	}
 }
+
+// TestSymbolicAllocLoopCapped runs vm's TestAllocLoopCappedInTotal loop
+// symbolically: ep is called only if the fifth 60 MB allocation is the
+// first one refused, as on the concrete machine.
+func TestSymbolicAllocLoopCapped(t *testing.T) {
+	b := asm.NewBuilder("allocloop")
+	ep := b.Function("ep", 0)
+	ep.RetI(0)
+	f := b.Function("main", 0)
+	n := f.VarI(0)
+	f.Forever(func() {
+		f.Assign(n, f.AddI(n, 1))
+		a := f.Sys(isa.SysAlloc, f.Const(60_000_000))
+		f.If(f.EqI(a, 0), func() {
+			f.If(f.EqI(n, 5), func() { f.Call("ep") })
+			f.Sys(isa.SysExit, n)
+		})
+	})
+	b.Entry("main")
+	prog := b.MustBuild()
+
+	res := runDirected(t, prog, symex.Config{Target: "ep", InputSize: 1}, stopAtFirst)
+	if !res.Reached() {
+		t.Fatalf("kind = %v (%s), want reached", res.Kind, res.Why)
+	}
+}

@@ -20,6 +20,10 @@ const (
 	// which is how C allocators refuse absurd sizes produced by integer
 	// overflows.
 	maxAlloc = 1 << 26
+	// maxReserved caps the bytes one run reserves in total; later
+	// requests fail (return 0) like an oversized one, so a guest
+	// allocation loop cannot exhaust the host process.
+	maxReserved = 4 * maxAlloc
 	// maxReuse caps the buffer a reset keeps for the next run, so one
 	// huge allocation does not stay resident for a whole campaign.
 	maxReuse = 1 << 20
@@ -44,6 +48,9 @@ type Memory struct {
 	// regions, and the k-th allocation reuses slot k when it fits.
 	regions []*Region
 	next    uint64
+	// reserved counts the bytes allocated since the last reset; freed
+	// regions stay held for use-after-free detection, so they count too.
+	reserved uint64
 }
 
 // NewMemory returns an empty address space.
@@ -59,8 +66,9 @@ type memFault struct {
 }
 
 // Alloc reserves n bytes and returns the base address, or 0 if the request
-// exceeds maxAlloc. Zero-length allocations get a one-byte region so the
-// returned base is still a valid unique address.
+// exceeds maxAlloc or would take the address space past maxReserved.
+// Zero-length allocations get a one-byte region so the returned base is
+// still a valid unique address.
 func (m *Memory) Alloc(n uint64) uint64 {
 	if n > maxAlloc {
 		return 0
@@ -68,6 +76,10 @@ func (m *Memory) Alloc(n uint64) uint64 {
 	if n == 0 {
 		n = 1
 	}
+	if m.reserved+n > maxReserved {
+		return 0
+	}
+	m.reserved += n
 	i := len(m.regions)
 	if i < cap(m.regions) {
 		m.regions = m.regions[:i+1]
@@ -98,11 +110,16 @@ func (m *Memory) reset() {
 	}
 	m.regions = m.regions[:0]
 	m.next = heapBase
+	m.reserved = 0
 }
 
-// Map reserves a read-only region initialized with data and returns its base.
+// Map reserves a read-only region initialized with data and returns its
+// base, or 0 when Alloc refuses the size.
 func (m *Memory) Map(data []byte) uint64 {
 	base := m.Alloc(uint64(len(data)))
+	if base == 0 {
+		return 0
+	}
 	r := m.regions[len(m.regions)-1]
 	copy(r.Data, data)
 	r.ReadOnly = true

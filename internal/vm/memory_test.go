@@ -26,6 +26,31 @@ func TestMemoryAccessors(t *testing.T) {
 	}
 }
 
+// TestMemoryReservedCap holds an address space at its total cap: freed
+// regions still count, a refused Map adds no region, and a reset frees the
+// whole budget again.
+func TestMemoryReservedCap(t *testing.T) {
+	m := NewMemory()
+	a := m.Alloc(16)
+	if fault := m.Free(a); fault != nil {
+		t.Fatalf("Free: %v", fault)
+	}
+	m.reserved = maxReserved - 8 // stand in for 256 MB of earlier allocations
+	if m.Alloc(8) == 0 {
+		t.Fatal("allocation within the cap refused")
+	}
+	if got := m.Alloc(0); got != 0 {
+		t.Fatalf("allocation past the cap = %#x, want 0", got)
+	}
+	if got := m.Map([]byte{1}); got != 0 || len(m.Regions()) != 2 {
+		t.Fatalf("map past the cap = %#x with %d regions, want 0 with 2", got, len(m.Regions()))
+	}
+	m.reset()
+	if m.Alloc(maxAlloc) == 0 {
+		t.Fatal("reset did not release the reservation budget")
+	}
+}
+
 func TestMemoryReadWriteBytes(t *testing.T) {
 	m := NewMemory()
 	a := m.Alloc(8)

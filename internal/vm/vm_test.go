@@ -586,6 +586,22 @@ func TestAllocZeroAndHuge(t *testing.T) {
 	})
 }
 
+// TestAllocLoopCappedInTotal runs the guest loop `l: a = sys alloc(60 MB);
+// if a != 0 goto l` and exits with the index of the first refused
+// allocation: four fit under the 256 MB a run may reserve, the fifth gets
+// 0. symex's TestSymbolicAllocLoopCapped runs the same loop.
+func TestAllocLoopCappedInTotal(t *testing.T) {
+	out := run(t, nil, func(f *asm.Fn) {
+		n := f.VarI(0)
+		f.Forever(func() {
+			f.Assign(n, f.AddI(n, 1))
+			a := f.Sys(isa.SysAlloc, f.Const(60_000_000))
+			f.If(f.EqI(a, 0), func() { f.Sys(isa.SysExit, n) })
+		})
+	})
+	wantExit(t, out, 5)
+}
+
 func TestOutcomeStrings(t *testing.T) {
 	out := run(t, nil, func(f *asm.Fn) { f.Exit(3) })
 	if got := out.String(); got == "" {
